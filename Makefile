@@ -2,7 +2,7 @@
 
 PYTEST := PYTHONPATH=src python -m pytest
 
-.PHONY: check lint lint-rules typecheck metric-names test fast test-faults test-scenarios coverage bench-smoke bench bench-batch bench-pipeline bench-faults bench-scenarios bench-gps-denied profile benchtrack benchtrack-report
+.PHONY: check lint lint-rules typecheck metric-names test fast test-faults test-scenarios coverage bench-smoke bench bench-batch bench-pipeline bench-faults bench-scenarios bench-gps-denied perfbench profile benchtrack benchtrack-report
 
 # Fast-lane coverage floor enforced in the CI PR lane (see ci.yml):
 # measured 94.6% line coverage over src/repro, floored at measured - 1.
@@ -81,6 +81,14 @@ bench-gps-denied:
 	$(PYTEST) benchmarks/bench_gps_denied.py -q -p no:cacheprovider
 	PYTHONPATH=src python benchmarks/bench_gps_denied.py --reduced \
 		--manifest benchmarks/bench_gps_denied_manifest.json
+
+# The repository benchmark declared in BENCHMARK.json: its self-tests, then
+# all three workloads (trip_single, fleet_store, stream_outage), each in a
+# fresh process; exits 1 when a correctness or mechanism check fails. Add
+# --trace 1 to run.py for the per-layer numbers.
+perfbench:
+	$(PYTEST) perfbench -q -p no:cacheprovider
+	python3 perfbench/run.py --workload all --seed 0 --seconds 20
 
 profile:
 	PYTHONPATH=src python -m repro.obs.profile --trips 3

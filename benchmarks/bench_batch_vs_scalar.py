@@ -1,18 +1,34 @@
-"""Batched vs looped-scalar EKF throughput on simultaneous tracks.
+"""Scalar core vs vectorized EKF kernel: cost per track-tick by track count.
+
+:func:`repro.core.batch.estimate_tracks_batch` loops the scalar core below
+``BATCH_MIN_TRACKS`` tracks and runs the vectorized tick loop at or above
+it. The two kernels are bit-identical, so the threshold only trades speed;
+this benchmark measures where the crossover lies.
 
 Pytest mode (``pytest benchmarks/bench_batch_vs_scalar.py``) is the CI
-smoke: it re-checks the 1e-9 equivalence contract on the benchmark inputs
-and asserts a conservative speedup floor so a regression that de-vectorizes
-the engine fails loudly without making CI timing-flaky.
+smoke: it re-checks exact equality of the two kernels on the benchmark
+inputs and asserts a conservative vectorized speedup at 64 tracks, well
+above the crossover, so a regression that de-vectorizes the kernel fails
+loudly without making CI timing-flaky.
 
 Script mode (``PYTHONPATH=src python benchmarks/bench_batch_vs_scalar.py``)
-runs the full 32-track measurement and appends one record::
+sweeps the track count over :data:`SWEEP`, times both kernels at each
+width, and appends one record::
 
-    {"timestamp": ..., "n_tracks": 32, "n_ticks": ..., "scalar_s": ...,
-     "batch_s": ..., "speedup": ...}
+    {"timestamp": ..., "series": 2, "n_ticks": ..., "sweep": [{"n_tracks":
+     N, "scalar_ns_per_track_tick": ..., "batch_ns_per_track_tick": ...,
+     "speedup": ...}, ...], "crossover_tracks": ..., "batch_min_tracks":
+     ..., "n_tracks": 64, "scalar_ns_per_track_tick": ...,
+     "batch_ns_per_track_tick": ..., "speedup": ...}
 
-to ``benchmarks/BENCH_batch.json`` so the scheduled CI job accumulates a
-throughput history.
+to ``benchmarks/BENCH_batch.json``. ``crossover_tracks`` is the smallest
+swept width from which the vectorized kernel is at least
+:data:`WIN_MARGIN` faster at every wider width; ``BATCH_MIN_TRACKS`` is
+set from it. Near the break-even width the two kernels trade places from
+run to run, so a tie goes to the scalar core, which allocates no
+``(tick, track)`` arrays. Series 2 times the unboxed scalar loop;
+series-1 records divided by an older, slower scalar loop and are not
+comparable.
 """
 
 from __future__ import annotations
@@ -25,20 +41,24 @@ from pathlib import Path
 import numpy as np
 
 from repro.constants import GRAVITY
-from repro.core.batch import estimate_tracks_batch
+from repro.core.batch import BATCH_MIN_TRACKS, _estimate_tracks_vectorized
 from repro.core.gradient_ekf import estimate_track
 from repro.sensors.base import SampledSignal
 
 ARTIFACT = Path(__file__).resolve().parent / "BENCH_batch.json"
 
-N_TRACKS = 32
+SERIES = 2
+SWEEP = (1, 2, 4, 8, 16, 24, 32, 64)
+GATE_TRACKS = 64
 N_TICKS = 2_000
-REPEATS = 5
+REPEATS = 7
+#: Speedup the vectorized kernel must reach to count as faster.
+WIN_MARGIN = 1.1
 
 _SOURCES = ("gps-speed", "speedometer", "canbus", "accelerometer-velocity")
 
 
-def make_inputs(n_tracks: int = N_TRACKS, n_ticks: int = N_TICKS, seed: int = 0):
+def make_inputs(n_tracks: int = GATE_TRACKS, n_ticks: int = N_TICKS, seed: int = 0):
     """``n_tracks`` synthetic (accel, velocity, arc_length) triples."""
     rng = np.random.default_rng(seed)
     t = np.arange(n_ticks) * 0.02
@@ -67,43 +87,56 @@ def run_scalar(accels, velocities, arcs):
     ]
 
 
-def time_engines(accels, velocities, arcs, repeats: int = REPEATS):
-    """Best-of-N wall time for each engine (min filters scheduler noise)."""
+def time_kernels(accels, velocities, arcs, repeats: int = REPEATS):
+    """Best-of-N wall time for each kernel, interleaved so a drift in host
+    speed hits both alike (min filters scheduler noise)."""
     scalar_s = batch_s = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
         run_scalar(accels, velocities, arcs)
         scalar_s = min(scalar_s, time.perf_counter() - t0)
         t0 = time.perf_counter()
-        estimate_tracks_batch(accels, velocities, arcs)
+        _estimate_tracks_vectorized(accels, velocities, arcs)
         batch_s = min(batch_s, time.perf_counter() - t0)
     return scalar_s, batch_s
+
+
+def crossover(sweep: list[dict]) -> int | None:
+    """Smallest swept width from which the vectorized kernel wins by
+    :data:`WIN_MARGIN` at every wider width, or ``None`` when it does not
+    win at the widest."""
+    found = None
+    for row in reversed(sweep):
+        if row["speedup"] < WIN_MARGIN:
+            break
+        found = row["n_tracks"]
+    return found
 
 
 # -- pytest smoke ------------------------------------------------------------
 
 
 def test_batch_equivalent_and_faster(bench_telemetry):
-    accels, velocities, arcs = make_inputs(n_tracks=16, n_ticks=1_000)
-    batch = estimate_tracks_batch(accels, velocities, arcs)
+    accels, velocities, arcs = make_inputs(n_tracks=GATE_TRACKS, n_ticks=1_000)
+    batch = _estimate_tracks_vectorized(accels, velocities, arcs)
     scalar = run_scalar(accels, velocities, arcs)
     worst = max(
         float(np.max(np.abs(b.theta - s.theta)))
         for b, s in zip(batch, scalar)
     )
-    assert worst <= 1e-9
+    assert worst == 0.0
 
-    with bench_telemetry.span("bench_batch_vs_scalar", n_tracks=16):
-        scalar_s, batch_s = time_engines(accels, velocities, arcs, repeats=3)
+    with bench_telemetry.span("bench_batch_vs_scalar", n_tracks=GATE_TRACKS):
+        scalar_s, batch_s = time_kernels(accels, velocities, arcs, repeats=3)
     speedup = scalar_s / batch_s
     bench_telemetry.gauge("bench.batch_speedup", speedup)
     print(
-        f"\n16 tracks x 1000 ticks: scalar {scalar_s * 1e3:.1f} ms, "
+        f"\n{GATE_TRACKS} tracks x 1000 ticks: scalar {scalar_s * 1e3:.1f} ms, "
         f"batch {batch_s * 1e3:.1f} ms, speedup {speedup:.2f}x\n",
         flush=True,
     )
     # Conservative floor for shared CI runners; the scheduled script-mode
-    # run records the real (>=3x at 32 tracks) number.
+    # run records the full sweep.
     assert speedup > 1.5
 
 
@@ -111,15 +144,28 @@ def test_batch_equivalent_and_faster(bench_telemetry):
 
 
 def main() -> None:
-    accels, velocities, arcs = make_inputs()
-    scalar_s, batch_s = time_engines(accels, velocities, arcs)
+    sweep = []
+    for n_tracks in SWEEP:
+        accels, velocities, arcs = make_inputs(n_tracks=n_tracks)
+        scalar_s, batch_s = time_kernels(accels, velocities, arcs)
+        per_tt = 1e9 / (n_tracks * N_TICKS)
+        row = {
+            "n_tracks": n_tracks,
+            "scalar_ns_per_track_tick": round(scalar_s * per_tt, 1),
+            "batch_ns_per_track_tick": round(batch_s * per_tt, 1),
+            "speedup": round(scalar_s / batch_s, 3),
+        }
+        sweep.append(row)
+        print(json.dumps(row), flush=True)
+    gate = next(row for row in sweep if row["n_tracks"] == GATE_TRACKS)
     record = {
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "n_tracks": N_TRACKS,
+        "series": SERIES,
         "n_ticks": N_TICKS,
-        "scalar_s": round(scalar_s, 6),
-        "batch_s": round(batch_s, 6),
-        "speedup": round(scalar_s / batch_s, 3),
+        "sweep": sweep,
+        "crossover_tracks": crossover(sweep),
+        "batch_min_tracks": BATCH_MIN_TRACKS,
+        **gate,
     }
     history = []
     if ARTIFACT.exists():
@@ -127,6 +173,11 @@ def main() -> None:
     history.append(record)
     ARTIFACT.write_text(json.dumps(history, indent=2) + "\n")
     print(json.dumps(record, indent=2))
+    if record["crossover_tracks"] != BATCH_MIN_TRACKS:
+        print(
+            f"note: measured crossover {record['crossover_tracks']} tracks, "
+            f"BATCH_MIN_TRACKS is {BATCH_MIN_TRACKS}"
+        )
 
 
 if __name__ == "__main__":

@@ -92,7 +92,7 @@ def _bench_road_recording(seed_trip: int = 5, seed_phone: int = 6):
 
 
 def test_monitor_and_profiler_overhead(bench_telemetry):
-    """Health monitors + stage profiler must cost <10% on the batch engine.
+    """Health monitors + stage profiler must cost <10% on a per-trip estimate.
 
     Also pins passivity: the monitored/profiled run's outputs must be
     bit-identical to the bare run's.

@@ -11,17 +11,19 @@ per-trip interpreter and dispatch cost over columnar
 
 Pytest mode (``pytest benchmarks/bench_pipeline_batch.py``) is the CI
 smoke: it pins the two runners to an identical report at small N and
-asserts a conservative speedup floor so a regression that de-batches a
-stage fails loudly without making CI timing-flaky.
+prints both timings. It asserts no speedup: the ratio falls whenever the
+serial runner gets faster, so it says nothing about either runner alone.
 
 Script mode (``PYTHONPATH=src python benchmarks/bench_pipeline_batch.py``)
 runs the full 32-trip measurement and appends one record::
 
     {"timestamp": ..., "n_trips": 32, "serial_s": ..., "batch_s": ...,
-     "speedup": ..., "trips_per_sec": ..., "backend": ...}
+     "speedup": ..., "trips_per_sec": ..., "serial_trips_per_sec": ...,
+     "backend": ...}
 
-to ``benchmarks/BENCH_pipeline.json``; the benchtrack gate
-(``pipeline.speedup``, absolute floor 2.0) reads the latest record.
+to ``benchmarks/BENCH_pipeline.json``; the benchtrack gates
+(``pipeline.trips_per_sec`` and ``pipeline.serial_trips_per_sec``, each
+against the previous same-machine entry) read the latest record.
 """
 
 from __future__ import annotations
@@ -98,7 +100,8 @@ def assert_reports_equal(a, b) -> None:
 # -- pytest smoke ------------------------------------------------------------
 
 
-def test_batch_runner_identical_and_faster(bench_telemetry):
+def test_batch_runner_identical_and_timed(bench_telemetry):
+    """Identical reports; both runners' throughput is recorded, not gated."""
     profile = make_profile()
     cfg = RunnerConfig(n_trips=6, seed=11)
     serial = evaluate_trips(profile, cfg, ParallelConfig(backend="serial", max_workers=1))
@@ -118,9 +121,6 @@ def test_batch_runner_identical_and_faster(bench_telemetry):
         f"batch {batch_s:.2f} s, speedup {speedup:.2f}x\n",
         flush=True,
     )
-    # Conservative floor for shared CI runners; the scheduled script-mode
-    # run records the real (>=2x at 32 trips) number.
-    assert speedup > 1.2
 
 
 # -- script mode -------------------------------------------------------------
@@ -140,6 +140,7 @@ def main() -> None:
         "batch_s": round(batch_s, 6),
         "speedup": round(serial_s / batch_s, 3),
         "trips_per_sec": round(N_TRIPS / batch_s, 3),
+        "serial_trips_per_sec": round(N_TRIPS / serial_s, 3),
     }
     history = []
     if ARTIFACT.exists():

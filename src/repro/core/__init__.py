@@ -16,7 +16,6 @@ from .gradient_ekf import (
 from .sanitize import SanitizeConfig, SanitizeStage, sanitize_recording, sanitize_signal
 from .stages import (
     DEFAULT_STAGES,
-    EKF_ENGINES,
     ROBUST_STAGES,
     STAGE_REGISTRY,
     AlignmentStage,
@@ -70,7 +69,6 @@ __all__ = [
     "estimate_track_generic",
     "measurements_on_timebase",
     "DEFAULT_STAGES",
-    "EKF_ENGINES",
     "ROBUST_STAGES",
     "STAGE_REGISTRY",
     "SanitizeConfig",

@@ -1,29 +1,29 @@
-"""Batched gradient EKF: N tracks through one vectorized predict/update loop.
+"""Gradient EKF over N tracks: one call, two kernels, routed by track count.
 
-:func:`repro.core.gradient_ekf.estimate_track` runs the 2-state ``[v, theta]``
-filter one track at a time in pure Python — fine for a single phone, but the
-cloud side of the paper (Sec III-C3) and crowd-sourced settings fuse *many*
-independent tracks per road segment. :func:`estimate_tracks_batch` stacks N
-tracks into ``(tick, track)`` arrays and advances them all per tick with
-numpy, so the per-tick interpreter cost is paid once instead of N times.
+:func:`estimate_tracks_batch` runs the ``[v, theta]`` filter over many
+tracks at once — one trip's velocity sources on a phone, or the flattened
+tracks of many trips in the cloud (Sec III-C3). Below
+:data:`BATCH_MIN_TRACKS` tracks it loops the scalar core
+(:func:`~repro.core.gradient_ekf.estimate_track`, plain Python floats);
+at or above it, :func:`_estimate_tracks_vectorized` stacks the tracks into
+``(tick, track)`` arrays and advances them all per tick with numpy, paying
+the per-tick dispatch cost once instead of N times. The threshold is the
+crossover measured by ``benchmarks/bench_batch_vs_scalar.py``.
 
-Equivalence contract
---------------------
-The batched engine evaluates the same model equations with the same clamps
-and the same update gating as the scalar engine; a few products are
-re-associated (per-track constants like ``drift_coeff * dt`` are hoisted
-out of the loop) so individual ticks may differ from the scalar engine by
-a few ulps. The EKF recursion is contractive, so the difference never
-accumulates: outputs agree with looped :func:`estimate_track` calls
-elementwise well inside 1e-9. ``tests/core/test_batch_equivalence.py``
-pins states, covariances and innovations across a route x seed x
-lane-change matrix.
+The kernels are **bit-identical**: the scalar core hoists the same
+per-track constants (``drift_coeff * dt``, ``-g * dt``) and associates
+every product as the vectorized loop does, with the same clamps and update
+gating. Routing therefore only affects speed; a trip's output does not
+depend on how wide a call it landed in (``tests/core/test_batch_equivalence.py``).
+This assumes numpy's float64 sin/cos equal ``math.sin``/``math.cos``,
+which numpy does not promise on every build and CPU (checked by name in
+``test_numpy_trig_matches_math``).
 
-Tracks may differ in length, timebase and velocity source; shorter tracks
-are padded internally (zero accel, no measurements) and the padding never
-reaches the output. ``config.smooth=True`` falls back to the scalar engine
-per track — the RTS backward pass is not vectorized — so results remain
-identical in every configuration.
+Tracks may differ in length, timebase and velocity source; the vectorized
+loop pads shorter tracks (zero accel, no measurements) and the padding
+never reaches the output. ``config.smooth=True`` and an enabled GPS-denied
+config always take the scalar core — the RTS backward pass and the outage
+plan are not vectorized.
 """
 
 from __future__ import annotations
@@ -41,7 +41,22 @@ from ..vehicle.params import DEFAULT_VEHICLE, VehicleParams
 from .gradient_ekf import GradientEKFConfig, estimate_track, measurements_on_timebase
 from .track import GradientTrack
 
-__all__ = ["estimate_tracks_batch"]
+__all__ = ["BATCH_MIN_TRACKS", "estimate_tracks_batch", "runs_vectorized"]
+
+#: Track count from which :func:`estimate_tracks_batch` uses the vectorized
+#: tick loop instead of looping the scalar core: the measured crossover
+#: (``benchmarks/bench_batch_vs_scalar.py`` → ``BENCH_batch.json``; on a
+#: 2-CPU x86_64 host the vectorized kernel ran at 0.99-1.07x the scalar
+#: loop at 24 tracks and 1.34-1.49x at 32). One trip's four sources stay
+#: scalar; an 8-trip chunk (32 tracks) runs vectorized.
+BATCH_MIN_TRACKS = 32
+
+
+def runs_vectorized(n_tracks: int, config: GradientEKFConfig, gps_denied=None) -> bool:
+    """Whether :func:`estimate_tracks_batch` runs ``n_tracks`` tracks on the
+    vectorized loop rather than the scalar core."""
+    gd_on = gps_denied is not None and gps_denied.enabled
+    return n_tracks >= BATCH_MIN_TRACKS and not config.smooth and not gd_on
 
 
 def estimate_tracks_batch(
@@ -55,8 +70,9 @@ def estimate_tracks_batch(
     monitor=None,
     telemetries: Sequence[Telemetry | None] | None = None,
     monitors: Sequence | None = None,
+    gps_denied=None,
 ) -> list[GradientTrack]:
-    """Run the gradient EKF over N tracks simultaneously.
+    """Run the gradient EKF over N tracks, on the kernel that is faster at N.
 
     Parameters
     ----------
@@ -75,10 +91,15 @@ def estimate_tracks_batch(
         batching path): track ``k`` reports to ``telemetries[k]`` /
         ``monitors[k]``. Mutually exclusive with the batch-wide
         ``telemetry`` / ``monitor`` singletons.
+    gps_denied:
+        Optional :class:`~repro.core.dead_reckoning.GPSDeniedConfig`; when
+        enabled every track runs through the scalar core, which owns the
+        outage plan.
 
     Returns
     -------
-    One :class:`GradientTrack` per input track, in order.
+    One :class:`GradientTrack` per input track, in order; ``meta["engine"]``
+    names the kernel that ran (``"scalar"`` or ``"batch"``).
     """
     n_tracks = len(accels)
     if not (n_tracks == len(velocities) == len(arc_lengths)):
@@ -95,17 +116,12 @@ def estimate_tracks_batch(
         raise EstimationError("monitors must match the number of tracks")
     if n_tracks == 0:
         raise EstimationError("batch estimation needs at least one track")
-    vehicle = vehicle or DEFAULT_VEHICLE
     cfg = config or GradientEKFConfig()
+    tels = list(telemetries) if telemetries is not None else [telemetry] * n_tracks
+    mons = list(monitors) if monitors is not None else [monitor] * n_tracks
+    gd = gps_denied if gps_denied is not None and gps_denied.enabled else None
 
-    tels_raw: list[Telemetry | None] = (
-        list(telemetries) if telemetries is not None else [telemetry] * n_tracks
-    )
-    mons: list = list(monitors) if monitors is not None else [monitor] * n_tracks
-
-    if cfg.smooth:
-        # The RTS backward pass is not vectorized; keep exactness by
-        # delegating to the scalar engine per track.
+    if not runs_vectorized(n_tracks, cfg, gd):
         return [
             estimate_track(
                 accels[k],
@@ -114,15 +130,40 @@ def estimate_tracks_batch(
                 vehicle=vehicle,
                 config=cfg,
                 name=names[k] if names is not None else None,
-                telemetry=tels_raw[k],
+                telemetry=tels[k],
                 monitor=mons[k],
+                gps_denied=gd,
             )
             for k in range(n_tracks)
         ]
+    return _estimate_tracks_vectorized(
+        accels, velocities, arc_lengths, vehicle, cfg, names, tels, mons
+    )
 
+
+def _estimate_tracks_vectorized(
+    accels: Sequence[SampledSignal],
+    velocities: Sequence[SampledSignal],
+    arc_lengths: Sequence[np.ndarray],
+    vehicle: VehicleParams | None = None,
+    config: GradientEKFConfig | None = None,
+    names: Sequence[str | None] | None = None,
+    telemetries: Sequence[Telemetry | None] | None = None,
+    monitors: Sequence | None = None,
+) -> list[GradientTrack]:
+    """The vectorized tick loop over N tracks (no smoothing, no outage plan).
+
+    Inputs are validated by :func:`estimate_tracks_batch`; ``telemetries``
+    and ``monitors`` are per-track sequences (``None`` = no sinks).
+    """
+    n_tracks = len(accels)
+    vehicle = vehicle or DEFAULT_VEHICLE
+    cfg = config or GradientEKFConfig()
     tels: list[Telemetry | None] = [
-        t if t is not None and t.active else None for t in tels_raw
+        t if t is not None and t.active else None
+        for t in (telemetries or [None] * n_tracks)
     ]
+    mons: list = list(monitors or [None] * n_tracks)
     any_tel = any(t is not None for t in tels)
     any_mon = any(m is not None for m in mons)
 
@@ -132,6 +173,7 @@ def estimate_tracks_batch(
     lengths = np.empty(n_tracks, dtype=int)
     dt = np.empty(n_tracks)
     r = np.empty(n_tracks)
+    stds: list[float] = []
     v = np.empty(n_tracks)
     for k in range(n_tracks):
         t_k = accels[k].t
@@ -145,7 +187,8 @@ def estimate_tracks_batch(
         ss.append(s_k)
         lengths[k] = n_k
         dt[k] = float(np.median(np.diff(t_k)))
-        r[k] = cfg.std_for(velocities[k].name) ** 2
+        stds.append(cfg.std_for(velocities[k].name))
+        r[k] = stds[k] ** 2
 
     n_max = int(lengths.max())
     a_in = np.zeros((n_max, n_tracks))
@@ -169,7 +212,8 @@ def estimate_tracks_batch(
             tel_k.count("ekf_ticks", int(n_k))
             tel_k.count("ekf_updates", int(np.count_nonzero(np.isfinite(z_k))))
 
-    q_v = (cfg.accel_noise_std * dt) ** 2
+    qa = cfg.accel_noise_std * dt
+    q_v = qa * qa  # as the scalar core computes it
     q_t = cfg.grade_rate_std**2 * dt
 
     specific_force = cfg.process == "specific_force"
@@ -191,6 +235,13 @@ def estimate_tracks_batch(
         np.full((n_max, n_tracks), np.nan) if any_tel or any_mon else None
     )
     s_out = np.full((n_max, n_tracks), np.nan) if any_mon else None
+    # Padding keeps advancing shorter tracks past their end, so each
+    # track's final covariance is captured at its own last tick.
+    final_p = np.empty((3, n_tracks))
+    ends: dict[int, list[int]] = {}
+    if any_mon:
+        for k in range(n_tracks):
+            ends.setdefault(int(lengths[k]) - 1, []).append(k)
 
     # Measurement gating, hoisted out of the loop: which tracks update at
     # which tick, plus fast per-tick any/all flags.
@@ -320,22 +371,28 @@ def estimate_tracks_batch(
             sub(p22, t3, out=p22)
             mul(p12, one_m, out=p12)
             mul(p11, one_m, out=p11)
+        done = ends.get(i)
+        if done is not None:
+            final_p[0, done] = p11[done]
+            final_p[1, done] = p12[done]
+            final_p[2, done] = p22[done]
 
     # -- unpack per track ---------------------------------------------------
     tracks: list[GradientTrack] = []
     for k in range(n_tracks):
         n_k = lengths[k]
         tel_k = tels[k]
+        mon_k = mons[k]
+        if tel_k is not None or mon_k is not None:
+            ticks_k = np.flatnonzero(update_mask[:n_k, k])
         if tel_k is not None:
-            inno_k = inno_out[:n_k, k]
-            finite = np.isfinite(inno_k)
-            if np.any(finite):
-                tel_k.observe_many("ekf_innovation_abs", np.abs(inno_k[finite]))
+            if len(ticks_k):
+                tel_k.observe_many(
+                    "ekf_innovation_abs", np.abs(inno_out[ticks_k, k])
+                )
             tel_k.gauge("ekf.final_theta_variance", float(var_out[n_k - 1, k]))
         name_k = names[k] if names is not None else None
-        mon_k = mons[k]
         if mon_k is not None:
-            ticks_k = np.flatnonzero(update_mask[:n_k, k])
             mon_k.check_track(
                 name_k or velocities[k].name,
                 theta_out[:n_k, k],
@@ -345,14 +402,7 @@ def estimate_tracks_batch(
                 update_ticks=ticks_k,
                 dt=float(dt[k]),
                 n_ticks=int(n_k),
-                # Padding ticks keep advancing the covariance of shorter
-                # tracks past their real end, so the final P is only
-                # meaningful for full-length tracks.
-                final_cov=(
-                    (float(p11[k]), float(p12[k]), float(p22[k]))
-                    if n_k == n_max
-                    else None
-                ),
+                final_cov=tuple(final_p[:, k].tolist()),
             )
         tracks.append(
             GradientTrack(
@@ -364,7 +414,7 @@ def estimate_tracks_batch(
                 v=v_out[:n_k, k].copy(),
                 meta={
                     "process": cfg.process,
-                    "measurement_std": math.sqrt(r[k]),
+                    "measurement_std": stds[k],
                     "smoothed": cfg.smooth,
                     "engine": "batch",
                 },

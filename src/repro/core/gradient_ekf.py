@@ -16,7 +16,14 @@ The single-tick predict/update arithmetic lives in one place —
 :class:`GradientFilterCore` — shared by the offline scalar engine here and
 the on-phone streaming path
 (:class:`~repro.core.online.StreamingGradientEstimator`), so the two can
-never drift apart numerically.
+never drift apart numerically. The vectorized kernel in
+:mod:`repro.core.batch` writes the same equations over arrays; the core
+hoists the same per-track constants and associates every product the same
+way, so the two kernels are bit-identical and
+:func:`~repro.core.batch.estimate_tracks_batch` picks between them by
+track count alone. :func:`estimate_track` runs the core on plain Python
+floats (the inputs are unboxed with ``tolist()`` once), so no tick pays
+for numpy scalar arithmetic.
 """
 
 from __future__ import annotations
@@ -110,7 +117,7 @@ class GradientFilterCore:
     """
 
     __slots__ = (
-        "dt", "specific_force", "drift_coeff", "q_v", "q_t", "r", "theta_clamp",
+        "dt", "specific_force", "cdt", "neg_g_dt", "q_v", "q_t", "r", "theta_clamp",
         "v", "theta", "p11", "p12", "p22", "b", "c", "d",
     )
 
@@ -128,9 +135,13 @@ class GradientFilterCore:
         cfg = config or GradientEKFConfig()
         self.dt = float(dt)
         self.specific_force = cfg.process == "specific_force"
-        self.drift_coeff = vehicle.drag_term / vehicle.weight
-        self.q_v = (cfg.accel_noise_std * dt) ** 2
-        self.q_t = cfg.grade_rate_std**2 * dt
+        # Per-track constants, hoisted exactly as the vectorized kernel
+        # hoists them: drift_coeff * dt and -g * dt.
+        self.cdt = vehicle.drag_term / vehicle.weight * self.dt
+        self.neg_g_dt = -GRAVITY * self.dt
+        qa = cfg.accel_noise_std * self.dt
+        self.q_v = qa * qa
+        self.q_t = cfg.grade_rate_std**2 * self.dt
         std = _FALLBACK_MEASUREMENT_STD if measurement_std is None else measurement_std
         self.r = std**2
         self.theta_clamp = math.pi / 3.0
@@ -144,35 +155,38 @@ class GradientFilterCore:
         self.d = 1.0
 
     def predict(self, a_meas: float) -> None:
-        """Advance one tick on an accelerometer sample (Eq 5 + Eq 4 drift)."""
-        dt = self.dt
+        """Advance one tick on an accelerometer sample (Eq 5 + Eq 4 drift).
+
+        Every product is associated exactly as in the vectorized kernel
+        (:mod:`repro.core.batch`), so the two agree bit for bit.
+        """
         v = self.v
         theta = self.theta
-        g = GRAVITY
         sin_t = math.sin(theta)
         cos_t = math.cos(theta)
         if cos_t < 1e-6:
             cos_t = 1e-6
-        drift_coeff = self.drift_coeff
 
-        # Jacobian F = [[1, b], [c, d]].
+        # Jacobian F = [[1, b], [c, d]]; d = 1 + (cdt v) * slope is
+        # 1 + d(drift)/d(theta) * dt.
         if self.specific_force:
-            a_long = a_meas - g * sin_t
-            b = -g * cos_t * dt
-            ddrift_dtheta = drift_coeff * v * (-g + a_long * sin_t / cos_t**2)
+            a_long = a_meas - sin_t * GRAVITY
+            b = self.neg_g_dt * cos_t
+            slope = a_long * sin_t / (cos_t * cos_t) - GRAVITY
         else:
             a_long = a_meas
             b = 0.0
-            ddrift_dtheta = drift_coeff * v * a_long * sin_t / cos_t**2
-        c = drift_coeff * a_long / cos_t * dt
-        d = 1.0 + ddrift_dtheta * dt
+            slope = a_long * sin_t / (cos_t * cos_t)
+        cdt = self.cdt
+        cdt_v = cdt * v
+        d = cdt_v * slope + 1.0
+        c = cdt * a_long / cos_t
 
         # State prediction.
-        drift = drift_coeff * v * a_long / cos_t
-        v = v + a_long * dt
+        v = v + a_long * self.dt
         if v < 0.0:
             v = 0.0
-        theta = theta + drift * dt
+        theta = theta + cdt_v * a_long / cos_t
         clamp = self.theta_clamp
         if theta > clamp:
             theta = clamp
@@ -181,15 +195,11 @@ class GradientFilterCore:
 
         # Covariance prediction P = F P F^T + Q.
         p11, p12, p22 = self.p11, self.p12, self.p22
-        np11 = p11 + b * p12 + b * (p12 + b * p22) + self.q_v
-        np12 = c * p11 + (d + b * c) * p12 + b * d * p22
-        np22 = c * c * p11 + 2.0 * c * d * p12 + d * d * p22 + self.q_t
-
+        self.p11 = p11 + b * p12 + (p12 + b * p22) * b + self.q_v
+        self.p12 = c * p11 + (b * c + d) * p12 + b * d * p22
+        self.p22 = c * (c * p11) + c * d * p12 * 2.0 + d * d * p22 + self.q_t
         self.v = v
         self.theta = theta
-        self.p11 = np11
-        self.p12 = np12
-        self.p22 = np22
         self.b = b
         self.c = c
         self.d = d
@@ -386,12 +396,6 @@ def estimate_track(
         tel.count("samples_dropped", dropped)
         tel.count("ekf_ticks", n)
         tel.count("ekf_updates", int(np.count_nonzero(np.isfinite(z))))
-    innovations: list[float] = []
-    mon = monitor
-    if mon is not None:
-        mon_inno: list[float] = []
-        mon_s: list[float] = []
-        mon_ticks: list[int] = []
     r_std = cfg.std_for(velocity.name)
 
     # Initial state: first available measurement, flat road prior.
@@ -408,51 +412,44 @@ def estimate_track(
         gd_plan = _gps_denied_plan(z, dt, s, gps_denied, prior_map)
         inflation = gps_denied.reacquire_inflation
 
-    a_in = accel.values
-    theta_out = np.empty(n)
-    var_out = np.empty(n)
-    v_out = np.empty(n)
-
+    # The loop runs on plain Python floats: tolist() unboxes the inputs
+    # once, so no tick touches numpy, and outputs collect in lists.
+    a_list = accel.values.tolist()
+    z_list = z.tolist()
+    predict = core.predict
+    update = core.update
+    r = core.r
+    theta_out: list[float] = []
+    var_out: list[float] = []
+    v_out: list[float] = []
+    innovations: list[float] = []
+    inno_var: list[float] = []  # S = p11 + r before each update
     do_smooth = cfg.smooth
-    if do_smooth:
-        # Forward-pass history for the RTS backward sweep: predicted and
-        # filtered states plus covariance triplets and Jacobian entries.
-        hist_xp = np.empty((n, 2))
-        hist_pp = np.empty((n, 3))  # (p11, p12, p22) after predict
-        hist_xf = np.empty((n, 2))
-        hist_pf = np.empty((n, 3))  # after update
-        hist_f = np.empty((n, 3))  # (b, c, d); F = [[1, b], [c, d]]
+    # Forward-pass history for the RTS backward sweep: the predicted
+    # (v, theta, p11, p12, p22, b, c, d) and filtered (v, theta, p11, p12,
+    # p22) rows per tick; F = [[1, b], [c, d]].
+    hist_pred: list[tuple] = []
+    hist_filt: list[tuple] = []
 
-    for i in range(n):
+    for i, (a, zi) in enumerate(zip(a_list, z_list)):
         gd_act = gd_plan.get(i) if gd_plan is not None else None
         if gd_act is not None and gd_act[0] == "inflate":
-            # Reacquisition: inflate *before* this tick's predict so the
-            # first post-outage update sees an honestly uncertain prior.
+            # Reacquisition: inflate *before* this tick's predict so
+            # the first post-outage update sees an honestly uncertain
+            # prior.
             core.inflate(inflation)
             n_inflations += 1
 
-        core.predict(a_in[i])
-
+        predict(a)
         if do_smooth:
-            hist_xp[i, 0] = core.v
-            hist_xp[i, 1] = core.theta
-            hist_pp[i, 0] = core.p11
-            hist_pp[i, 1] = core.p12
-            hist_pp[i, 2] = core.p22
-            hist_f[i, 0] = core.b
-            hist_f[i, 1] = core.c
-            hist_f[i, 2] = core.d
+            hist_pred.append(
+                (core.v, core.theta, core.p11, core.p12, core.p22,
+                 core.b, core.c, core.d)
+            )
 
-        zi = z[i]
         if zi == zi:  # not NaN
-            if mon is not None:
-                mon_s.append(core.innovation_variance())
-            inno = core.update(zi)
-            if tel is not None:
-                innovations.append(abs(inno))
-            if mon is not None:
-                mon_inno.append(inno)
-                mon_ticks.append(i)
+            inno_var.append(core.p11 + r)
+            innovations.append(update(zi))
         elif gd_act is not None and gd_act[0] == "map":
             # GPS-denied: fuse the prior-map gradient at this tick's
             # estimated arc length (the tick itself has no velocity
@@ -460,37 +457,41 @@ def estimate_track(
             core.update_theta(gd_act[1], gd_act[2])
             n_map_updates += 1
 
-        theta_out[i] = core.theta
-        var_out[i] = core.p22
-        v_out[i] = core.v
+        theta_out.append(core.theta)
+        var_out.append(core.p22)
+        v_out.append(core.v)
         if do_smooth:
-            hist_xf[i, 0] = core.v
-            hist_xf[i, 1] = core.theta
-            hist_pf[i, 0] = core.p11
-            hist_pf[i, 1] = core.p12
-            hist_pf[i, 2] = core.p22
+            hist_filt.append((core.v, core.theta, core.p11, core.p12, core.p22))
 
+    theta_arr = np.array(theta_out, dtype=float)
+    var_arr = np.array(var_out, dtype=float)
+    v_arr = np.array(v_out, dtype=float)
     if do_smooth:
-        _rts_backward(hist_xp, hist_pp, hist_xf, hist_pf, hist_f, theta_out, var_out, v_out)
+        pred = np.array(hist_pred)
+        filt = np.array(hist_filt)
+        _rts_backward(
+            pred[:, 0:2], pred[:, 2:5], filt[:, 0:2], filt[:, 2:5], pred[:, 5:8],
+            theta_arr, var_arr, v_arr,
+        )
 
     if tel is not None:
         if innovations:
-            tel.observe_many("ekf_innovation_abs", innovations)
-        tel.gauge("ekf.final_theta_variance", float(var_out[-1]))
+            tel.observe_many("ekf_innovation_abs", np.abs(innovations))
+        tel.gauge("ekf.final_theta_variance", float(var_arr[-1]))
         if n_map_updates:
             tel.count("ekf.map_updates", n_map_updates)
         if n_inflations:
             tel.count("ekf.covariance_reset", n_inflations)
 
     track_name = name or velocity.name
-    if mon is not None:
-        mon.check_track(
+    if monitor is not None:
+        monitor.check_track(
             track_name,
-            theta_out,
-            var_out,
-            innovations=np.asarray(mon_inno),
-            s=np.asarray(mon_s),
-            update_ticks=np.asarray(mon_ticks, dtype=int),
+            theta_arr,
+            var_arr,
+            innovations=np.array(innovations),
+            s=np.array(inno_var),
+            update_ticks=np.flatnonzero(np.isfinite(z)),
             dt=dt,
             n_ticks=n,
             final_cov=(core.p11, core.p12, core.p22),
@@ -500,6 +501,7 @@ def estimate_track(
         "process": cfg.process,
         "measurement_std": r_std,
         "smoothed": cfg.smooth,
+        "engine": "scalar",
     }
     if gd_plan is not None:
         meta["gps_denied"] = {
@@ -510,9 +512,9 @@ def estimate_track(
         name=track_name,
         t=t.copy(),
         s=s.copy(),
-        theta=theta_out,
-        variance=var_out,
-        v=v_out,
+        theta=theta_arr,
+        variance=var_arr,
+        v=v_arr,
         meta=meta,
     )
 

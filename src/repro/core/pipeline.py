@@ -42,7 +42,6 @@ from .lane_change.detector import LaneChangeDetector, LaneChangeDetectorConfig, 
 from .sanitize import SanitizeConfig
 from .stages import (
     DEFAULT_STAGES,
-    EKF_ENGINES,
     ROBUST_STAGES,
     PipelineContext,
     Stage,
@@ -56,7 +55,6 @@ from .track_fusion import fuse_tracks
 from .trip_batch import BatchPipelineContext, TripBatch
 
 __all__ = [
-    "EKF_ENGINES",
     "ROBUST_STAGES",
     "GradientSystemConfig",
     "EstimationResult",
@@ -78,12 +76,6 @@ class GradientSystemConfig(SerializableConfig):
         Eq 2 on/off — the lane-change ablation switch.
     fusion_grid_spacing:
         Position grid step [m] for track fusion and the final profile.
-    ekf_engine:
-        ``"batch"`` (default) runs all velocity-source tracks through the
-        vectorized :func:`~repro.core.batch.estimate_tracks_batch` engine;
-        ``"scalar"`` keeps one :func:`estimate_track` call per source.
-        Outputs agree elementwise to well under 1e-9 (pinned by the batch
-        equivalence suite); the batch engine is ~3x faster with 4 sources.
     cache_geometry:
         Wrap the road map in a :class:`~repro.roads.cache.CachedRoadProfile`
         so repeated geometry queries (curvature for ``w_road``, arc-length
@@ -118,8 +110,12 @@ class GradientSystemConfig(SerializableConfig):
         :class:`~repro.roads.prior_map.PriorGradeMap` is configured —
         prior-map gradient updates through outages. Disabled by default;
         when disabled the pipeline output is bit-identical to a config
-        without the field. Enabling it routes estimation through the
-        scalar EKF engine (the batch engine has no outage plan).
+        without the field. Enabling it runs every track through the
+        scalar EKF kernel (the vectorized kernel has no outage plan).
+
+    The EKF kernel is not a knob: :func:`~repro.core.batch.estimate_tracks_batch`
+    picks the scalar or vectorized kernel by track count, and the two are
+    bit-identical.
     """
 
     ekf: GradientEKFConfig = field(default_factory=GradientEKFConfig)
@@ -127,7 +123,6 @@ class GradientSystemConfig(SerializableConfig):
     velocity_sources: tuple[str, ...] = VELOCITY_SOURCES
     apply_lane_change_correction: bool = True
     fusion_grid_spacing: float = 5.0
-    ekf_engine: str = "batch"
     cache_geometry: bool = True
     sanitize: SanitizeConfig = field(default_factory=SanitizeConfig)
     min_track_finite_fraction: float = 0.5
@@ -155,11 +150,6 @@ class GradientSystemConfig(SerializableConfig):
             raise EstimationError(f"duplicate velocity sources: {dupes}")
         if self.fusion_grid_spacing <= 0.0:
             raise EstimationError("fusion grid spacing must be positive")
-        if self.ekf_engine not in EKF_ENGINES:
-            raise EstimationError(
-                f"unknown ekf_engine {self.ekf_engine!r}; "
-                f"valid options are {list(EKF_ENGINES)}"
-            )
         if not 0.0 <= self.min_track_finite_fraction <= 1.0:
             raise EstimationError(
                 f"min_track_finite_fraction must be in [0, 1], got "

@@ -17,8 +17,8 @@ Stage ↔ paper mapping
 ``lane_change``           data adjustment: LOESS smoothing + Algorithm 1
                           detection (Eq 1 displacement rule)
 ``ekf_tracks``            gradient estimation: one EKF track per velocity
-                          source (Eq 2 correction applied per source), through
-                          the batch or scalar engine
+                          source (Eq 2 correction applied per source), one
+                          EKF call routed by track count
 ``fusion``                track fusion: Eq 6 convex combination on a position
                           grid
 ========================  =====================================================
@@ -42,8 +42,7 @@ from ..sensors.alignment import AlignedSteering, CoordinateAlignment, map_match
 from ..sensors.base import SampledSignal
 from ..sensors.phone import PhoneRecording
 from ..vehicle.params import VehicleParams
-from .batch import estimate_tracks_batch
-from .gradient_ekf import estimate_track
+from .batch import estimate_tracks_batch, runs_vectorized
 from .lane_change.correction import correct_velocity_signal
 from .lane_change.detector import LaneChangeDetector, LaneChangeEvent
 from .lane_change.smoothing import loess_smooth_batch
@@ -56,7 +55,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a circular import
     from .pipeline import GradientEstimationSystem, GradientSystemConfig
 
 __all__ = [
-    "EKF_ENGINES",
     "DEFAULT_STAGES",
     "ROBUST_STAGES",
     "STAGE_REGISTRY",
@@ -72,9 +70,6 @@ __all__ = [
     "run_stage_batch",
     "fusion_grid",
 ]
-
-#: The per-track EKF engines the track-estimation stage can dispatch to.
-EKF_ENGINES = ("batch", "scalar")
 
 #: The paper's Fig 1 dataflow, in order.
 DEFAULT_STAGES = ("alignment", "lane_change", "ekf_tracks", "fusion")
@@ -337,10 +332,10 @@ class TrackEstimationStage:
     """Gradient estimation: one EKF track per velocity source.
 
     The corrected velocity signals are prepared per source (Eq 2 when lane
-    changes were detected); the EKF then runs either vectorized across all
-    sources at once (engine ``"batch"``) or source-by-source (engine
-    ``"scalar"``) — outputs agree to well under 1e-9 either way (see
-    ``tests/core/test_batch_equivalence``).
+    changes were detected); the EKF then runs in one
+    :func:`~repro.core.batch.estimate_tracks_batch` call, which picks the
+    scalar or vectorized kernel by track count — the two are bit-identical
+    (see ``tests/core/test_batch_equivalence``).
 
     Degraded sources do not take the trip down: a velocity source with no
     usable measurement at all (every sample invalid or non-finite, e.g. GPS
@@ -391,56 +386,35 @@ class TrackEstimationStage:
 
     def run(self, ctx: PipelineContext) -> PipelineContext:
         cfg = ctx.config
-        tel = ctx.telemetry
         aligned = ctx.require("aligned", self.name)
         kept, signals = self._prepare_signals(ctx, aligned)
-        monitor = ctx.extras.get("health_monitor")
-        tracks: dict[str, GradientTrack] = {}
-        # GPS-denied handling (outage plan, prior-map updates) exists only
-        # in the scalar engine; an enabled config routes around the batch
-        # engine rather than silently dropping the outage behaviour.
-        gd = cfg.gps_denied if cfg.gps_denied.enabled else None
-        if cfg.ekf_engine == "batch" and len(signals) > 1 and gd is None:
-            n = len(signals)
-            batch = estimate_tracks_batch(
-                [ctx.recording.accel_long] * n,
-                signals,
-                [aligned.s] * n,
-                vehicle=ctx.vehicle,
-                config=cfg.ekf,
-                names=kept,
-                telemetry=tel,
-                monitor=monitor,
-            )
-            tracks = dict(zip(kept, batch))
-        else:
-            for source, signal in zip(kept, signals):
-                tracks[source] = estimate_track(
-                    ctx.recording.accel_long,
-                    signal,
-                    aligned.s,
-                    vehicle=ctx.vehicle,
-                    config=cfg.ekf,
-                    name=source,
-                    telemetry=tel,
-                    monitor=monitor,
-                    gps_denied=gd,
-                )
-        ctx.tracks = tracks
+        n = len(signals)
+        batch = estimate_tracks_batch(
+            [ctx.recording.accel_long] * n,
+            signals,
+            [aligned.s] * n,
+            vehicle=ctx.vehicle,
+            config=cfg.ekf,
+            names=kept,
+            telemetry=ctx.telemetry,
+            monitor=ctx.extras.get("health_monitor"),
+            gps_denied=cfg.gps_denied,
+        )
+        ctx.tracks = dict(zip(kept, batch))
         return ctx
 
     def run_batch(self, bctx: BatchPipelineContext) -> None:
-        """Estimate every live trip's tracks in one flattened EKF call.
+        """Estimate every live trip's tracks, in one flattened EKF call
+        when that call runs the vectorized kernel.
 
-        With the ``"batch"`` engine, the (trip, source) tracks of all
-        multi-source trips flatten into a *single*
-        :func:`estimate_tracks_batch` call — the vectorized tick loop is
-        elementwise per column, so each flattened track is bit-identical
-        to the per-trip call while the interpreter cost is paid once per
-        tick instead of once per trip. Single-source trips, the
-        ``"scalar"`` engine, and configs with GPS-denied handling enabled
-        mirror :meth:`run` per trip. Per-track
-        telemetry and health monitoring report to each trip's own sinks.
+        The (trip, source) tracks of all live trips flatten into a *single*
+        :func:`estimate_tracks_batch` call. Both of its kernels are
+        elementwise per track, so each flattened track is bit-identical to
+        the per-trip call while a wide call amortises the interpreter cost
+        per tick. A chunk the scalar core would loop anyway gains nothing
+        from flattening, so it runs one call per trip and a failure stays
+        with its trip. Per-track telemetry and health monitoring report to
+        each trip's own sinks.
         """
         cfg = bctx.config
         prepared: list[
@@ -468,68 +442,47 @@ class TrackEstimationStage:
         if not prepared:
             return
 
-        gd = cfg.gps_denied if cfg.gps_denied.enabled else None
-        if cfg.ekf_engine == "batch" and gd is None:
-            multi = [entry for entry in prepared if len(entry[4]) > 1]
-            single = [entry for entry in prepared if len(entry[4]) == 1]
+        n_flat = sum(len(entry[4]) for entry in prepared)
+        if runs_vectorized(n_flat, cfg.ekf, cfg.gps_denied):
+            groups = [prepared]
         else:
-            multi, single = [], prepared
-
-        for pos, ctx, aligned, kept, signals in single:
+            groups = [[entry] for entry in prepared]
+        for group in groups:
+            flat_accels: list[SampledSignal] = []
+            flat_signals: list[SampledSignal] = []
+            flat_s: list[np.ndarray] = []
+            flat_names: list[str] = []
+            flat_tels: list[Telemetry] = []
+            flat_mons: list[Any] = []
+            for pos, ctx, aligned, kept, signals in group:
+                n = len(signals)
+                flat_accels.extend([ctx.recording.accel_long] * n)
+                flat_signals.extend(signals)
+                flat_s.extend([aligned.s] * n)
+                flat_names.extend(kept)
+                flat_tels.extend([ctx.telemetry] * n)
+                flat_mons.extend([ctx.extras.get("health_monitor")] * n)
             try:
-                tracks: dict[str, GradientTrack] = {}
-                for source, signal in zip(kept, signals):
-                    tracks[source] = estimate_track(
-                        ctx.recording.accel_long,
-                        signal,
-                        aligned.s,
-                        vehicle=ctx.vehicle,
-                        config=cfg.ekf,
-                        name=source,
-                        telemetry=ctx.telemetry,
-                        monitor=ctx.extras.get("health_monitor"),
-                        gps_denied=gd,
-                    )
-                ctx.tracks = tracks
+                flat_tracks = estimate_tracks_batch(
+                    flat_accels,
+                    flat_signals,
+                    flat_s,
+                    vehicle=bctx.vehicle,
+                    config=cfg.ekf,
+                    names=flat_names,
+                    telemetries=flat_tels,
+                    monitors=flat_mons,
+                    gps_denied=cfg.gps_denied,
+                )
             except Exception as exc:  # noqa: BLE001 - per-trip isolation
-                bctx.fail(pos, exc)
-
-        if not multi:
-            return
-        flat_accels: list[SampledSignal] = []
-        flat_signals: list[SampledSignal] = []
-        flat_s: list[np.ndarray] = []
-        flat_names: list[str] = []
-        flat_tels: list[Telemetry] = []
-        flat_mons: list[Any] = []
-        for pos, ctx, aligned, kept, signals in multi:
-            n = len(signals)
-            flat_accels.extend([ctx.recording.accel_long] * n)
-            flat_signals.extend(signals)
-            flat_s.extend([aligned.s] * n)
-            flat_names.extend(kept)
-            flat_tels.extend([ctx.telemetry] * n)
-            flat_mons.extend([ctx.extras.get("health_monitor")] * n)
-        try:
-            flat_tracks = estimate_tracks_batch(
-                flat_accels,
-                flat_signals,
-                flat_s,
-                vehicle=bctx.vehicle,
-                config=cfg.ekf,
-                names=flat_names,
-                telemetries=flat_tels,
-                monitors=flat_mons,
-            )
-        except Exception as exc:  # noqa: BLE001 - per-trip isolation
-            for pos, *_ in multi:
-                bctx.fail(pos, exc)
-            return
-        offset = 0
-        for pos, ctx, aligned, kept, signals in multi:
-            n = len(signals)
-            ctx.tracks = dict(zip(kept, flat_tracks[offset : offset + n]))
-            offset += n
+                for pos, *_ in group:
+                    bctx.fail(pos, exc)
+                continue
+            offset = 0
+            for pos, ctx, aligned, kept, signals in group:
+                n = len(signals)
+                ctx.tracks = dict(zip(kept, flat_tracks[offset : offset + n]))
+                offset += n
 
 
 class FusionStage:

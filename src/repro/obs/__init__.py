@@ -25,6 +25,8 @@ what the pipeline threads through its stages; :class:`NullTelemetry`
 the hot paths free when observability is off.
 """
 
+from typing import TYPE_CHECKING, Any
+
 from .export import (
     export_run,
     format_span_tree,
@@ -59,9 +61,23 @@ from .metrics import (
     metric_key,
     parse_metric_key,
 )
-from .profile import Profiler
 from .telemetry import NULL_TELEMETRY, NullTelemetry, Telemetry, from_env
 from .trace import Span, Tracer
+
+if TYPE_CHECKING:  # pragma: no cover - typing only; imported lazily below
+    from .profile import Profiler
+
+
+def __getattr__(name: str) -> Any:
+    # Profiler is imported on first use: an eager import would put
+    # repro.obs.profile in sys.modules before ``python -m repro.obs.profile``
+    # runs it, and runpy warns about that.
+    if name == "Profiler":
+        from .profile import Profiler
+
+        return Profiler
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ENV_SWITCH",

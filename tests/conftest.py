@@ -48,6 +48,23 @@ def hill_recording(hill_trace):
     return Smartphone().record(hill_trace, np.random.default_rng(17))
 
 
+#: ``BATCH_MIN_TRACKS`` values that pin every ``estimate_tracks_batch`` call
+#: to one EKF kernel, whatever its track count.
+KERNEL_MIN_TRACKS = {"batch": 1, "scalar": 10**9}
+
+
+@pytest.fixture()
+def force_kernel(monkeypatch):
+    """Route every EKF call to one kernel: ``force_kernel("batch")`` for the
+    vectorized tick loop, ``force_kernel("scalar")`` for the scalar core."""
+    import repro.core.batch as batch_mod
+
+    def force(kernel: str) -> None:
+        monkeypatch.setattr(batch_mod, "BATCH_MIN_TRACKS", KERNEL_MIN_TRACKS[kernel])
+
+    return force
+
+
 @pytest.fixture()
 def rng():
     """A fresh seeded generator per test."""

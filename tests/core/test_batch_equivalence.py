@@ -1,40 +1,46 @@
-"""Batched EKF engine equivalence: batch == looped scalar within 1e-9.
+"""EKF kernel equivalence: the vectorized kernel == the scalar core, bit for bit.
 
-The vectorized engine (:func:`repro.core.batch.estimate_tracks_batch`)
-hoists per-track constants out of the tick loop, so individual products
-are re-associated versus the scalar engine and may differ by a few ulps.
-This suite pins the contract that those differences never grow: states,
-covariances and innovation-driven outputs agree elementwise within 1e-9
-across a routes x noise-seeds x lane-change-densities matrix, including
-the total-GPS-outage fixture, at both the direct-API and full-pipeline
-level.
+:func:`repro.core.batch.estimate_tracks_batch` routes each call to the
+scalar core (:func:`~repro.core.gradient_ekf.estimate_track`) or to the
+vectorized tick loop by track count. The two associate every product the
+same way, so this suite pins *exact* equality — states, covariances,
+innovations, counters and health verdicts — across both process models,
+ragged lengths, shared measurement gaps, the theta clamp and the cos
+floor, plus the routing itself and a routes x noise-seeds x lane-change
+matrix through the full pipeline, including the total-GPS-outage fixture.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 import pytest
 
 from repro.constants import GRAVITY
-from repro.core.batch import estimate_tracks_batch
+from repro.core.batch import (
+    BATCH_MIN_TRACKS,
+    _estimate_tracks_vectorized,
+    estimate_tracks_batch,
+)
 from repro.core.gradient_ekf import GradientEKFConfig, estimate_track
 from repro.core.lane_change.detector import LaneChangeDetectorConfig
 from repro.core.lane_change.features import LaneChangeThresholds
 from repro.core.pipeline import GradientEstimationSystem, GradientSystemConfig
 from repro.errors import EstimationError
 from repro.obs import Telemetry
+from repro.obs.health import HealthMonitor
 from repro.roads import SectionSpec, build_profile
 from repro.sensors import Smartphone
 from repro.sensors.base import SampledSignal
 from repro.sensors.phone import VELOCITY_SOURCES
 from repro.vehicle import DriverProfile, simulate_trip
 
-TOL = 1e-9
 TH = LaneChangeThresholds(delta=0.05, duration=0.5)
+PROCESSES = ["specific_force", "accelerometer"]
 
-# -- direct engine API -------------------------------------------------------
+# -- direct kernel API -------------------------------------------------------
 
 
 def _synthetic_track(
@@ -45,7 +51,7 @@ def _synthetic_track(
     meas_stride: int = 1,
     theta: float = 0.03,
 ) -> tuple[SampledSignal, SampledSignal, np.ndarray]:
-    """One (accel, velocity, arc_length) input triple for the engines."""
+    """One (accel, velocity, arc_length) input triple for the kernels."""
     rng = np.random.default_rng(seed)
     t = np.arange(n) * dt
     accel = SampledSignal(
@@ -81,72 +87,147 @@ def _mixed_batch(seed: int):
     return accels, velocities, arcs
 
 
-def _assert_tracks_equal(batch_tracks, scalar_tracks, tol=TOL):
-    for got, want in zip(batch_tracks, scalar_tracks):
+def _scalar(accels, velocities, arcs, **kwargs):
+    return [estimate_track(a, v, s, **kwargs) for a, v, s in zip(accels, velocities, arcs)]
+
+
+def _assert_tracks_equal(got_tracks, want_tracks):
+    assert len(got_tracks) == len(want_tracks)
+    for got, want in zip(got_tracks, want_tracks):
+        assert got.name == want.name
         assert np.array_equal(got.t, want.t)
         assert np.array_equal(got.s, want.s)
-        assert np.max(np.abs(got.theta - want.theta)) <= tol
-        assert np.max(np.abs(got.v - want.v)) <= tol
-        assert np.max(np.abs(got.variance - want.variance)) <= tol
+        assert np.array_equal(got.theta, want.theta)
+        assert np.array_equal(got.v, want.v)
+        assert np.array_equal(got.variance, want.variance)
+        assert got.meta["measurement_std"] == want.meta["measurement_std"]
+
+
+def test_numpy_trig_matches_math():
+    # Bit-identity of the two kernels rests on numpy's float64 sin/cos
+    # returning what math.sin/math.cos return (numpy does not promise this
+    # on every build and CPU). Checked over the clamped theta range, both
+    # on one long array and in 4-wide calls like a trip's tracks.
+    clamp = math.pi / 3.0
+    rng = np.random.default_rng(0)
+    samples = np.concatenate(
+        [
+            rng.uniform(-clamp, clamp, 50_000),
+            rng.normal(0.0, 0.05, 50_000),
+            np.linspace(-clamp, clamp, 4_000),
+            [0.0, -0.0, clamp, -clamp, 1e-12, -1e-12, 0.5, -0.5],
+        ]
+    )
+    for fn, ref in ((np.sin, math.sin), (np.cos, math.cos)):
+        want = np.array([ref(x) for x in samples.tolist()])
+        narrow = np.concatenate([fn(row) for row in samples.reshape(-1, 4)])
+        for got in (fn(samples), narrow):
+            bad = np.flatnonzero(got != want)
+            assert bad.size == 0, (
+                f"np.{fn.__name__} differs from math.{ref.__name__} at "
+                f"{bad.size} of {samples.size} points (first theta="
+                f"{samples[bad[0]]!r}); the scalar and vectorized EKF "
+                f"kernels cannot be bit-identical on this host"
+            )
 
 
 class TestDirectEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize("process", ["specific_force", "accelerometer"])
+    @pytest.mark.parametrize("process", PROCESSES)
     def test_mixed_batch_matches_scalar(self, seed, process):
+        # Ragged lengths (900..1500 ticks) and mixed measurement strides.
         accels, velocities, arcs = _mixed_batch(seed)
         cfg = GradientEKFConfig(process=process)
-        batch = estimate_tracks_batch(accels, velocities, arcs, config=cfg)
-        scalar = [
-            estimate_track(a, v, s, config=cfg)
-            for a, v, s in zip(accels, velocities, arcs)
-        ]
-        _assert_tracks_equal(batch, scalar)
+        vec = _estimate_tracks_vectorized(accels, velocities, arcs, config=cfg)
+        _assert_tracks_equal(vec, _scalar(accels, velocities, arcs, config=cfg))
 
     def test_single_track_batch(self):
         a, v, s = _synthetic_track(800, 0.02, seed=5)
-        batch = estimate_tracks_batch([a], [v], [s])
-        scalar = estimate_track(a, v, s)
-        _assert_tracks_equal(batch, [scalar])
+        vec = _estimate_tracks_vectorized([a], [v], [s])
+        _assert_tracks_equal(vec, [estimate_track(a, v, s)])
+
+    @pytest.mark.parametrize("process", PROCESSES)
+    def test_shared_and_partial_measurement_gaps(self, process):
+        # Every track loses its measurements over one common stretch (a
+        # tick row with no update at all) and each also has its own gap
+        # (rows where only some tracks update).
+        accels, velocities, arcs = _mixed_batch(4)
+        gapped = []
+        for j, v in enumerate(velocities):
+            values = v.values.copy()
+            values[300:420] = np.nan
+            values[500 + 60 * j : 560 + 60 * j] = np.nan
+            gapped.append(SampledSignal(t=v.t, values=values, name=v.name))
+        cfg = GradientEKFConfig(process=process)
+        vec = _estimate_tracks_vectorized(accels, gapped, arcs, config=cfg)
+        _assert_tracks_equal(vec, _scalar(accels, gapped, arcs, config=cfg))
+
+    @pytest.mark.parametrize(
+        "process, accel, spike, grade_rate_std",
+        [("specific_force", 9.0, 50.0, 0.5), ("accelerometer", -40.0, 100.0, 0.012)],
+    )
+    def test_theta_clamp_and_cos_floor(self, process, accel, spike, grade_rate_std):
+        # Unphysical drive: a sustained acceleration the speed never shows
+        # pushes theta onto the +-pi/3 clamp, and measurement spikes kick
+        # it past pi/2 so the next predict runs on the floored cosine.
+        n, dt = 3000, 0.02
+        rng = np.random.default_rng(0)
+        t = np.arange(n) * dt
+        a = SampledSignal(t=t, values=accel + rng.normal(0.0, 0.08, n), name="accel-long")
+        values = np.full(n, np.nan)
+        values[::50] = 30.0
+        values[2000] += spike
+        values[2400] -= spike
+        v = SampledSignal(t=t, values=values, name="gps-speed")
+        cfg = GradientEKFConfig(process=process, grade_rate_std=grade_rate_std)
+        scalar = estimate_track(a, v, 30.0 * t, config=cfg)
+        assert np.any(np.abs(scalar.theta) == math.pi / 3.0)  # clamp hit
+        assert np.any(np.cos(scalar.theta[:-1]) < 1e-6)  # cos floor hit
+        vec = _estimate_tracks_vectorized([a], [v], [30.0 * t], config=cfg)
+        _assert_tracks_equal(vec, [scalar])
 
     def test_innovations_and_counters_match_scalar(self):
         accels, velocities, arcs = _mixed_batch(9)
-        tel_b, tel_s = Telemetry("batch"), Telemetry("scalar")
-        estimate_tracks_batch(accels, velocities, arcs, telemetry=tel_b)
-        for a, v, s in zip(accels, velocities, arcs):
-            estimate_track(a, v, s, telemetry=tel_s)
-        snap_b = tel_b.metrics.snapshot()
-        snap_s = tel_s.metrics.snapshot()
-        assert snap_b["counters"] == snap_s["counters"]
-        hist_b = snap_b["histograms"]["ekf_innovation_abs"]
-        hist_s = snap_s["histograms"]["ekf_innovation_abs"]
-        assert hist_b["count"] == hist_s["count"]
-        for stat in ("sum", "mean", "min", "max"):
-            assert hist_b[stat] == pytest.approx(hist_s[stat], abs=TOL)
+        tels = {k: [Telemetry(f"{k}-{j}") for j in range(4)] for k in ("vec", "scalar")}
+        p22_0 = GradientEKFConfig().initial_grade_std**2
+        mons = {
+            k: [HealthMonitor(p22_initial=p22_0) for _ in range(4)]
+            for k in ("vec", "scalar")
+        }
+        _estimate_tracks_vectorized(
+            accels, velocities, arcs, telemetries=tels["vec"], monitors=mons["vec"]
+        )
+        for j, (a, v, s) in enumerate(zip(accels, velocities, arcs)):
+            estimate_track(
+                a, v, s, telemetry=tels["scalar"][j], monitor=mons["scalar"][j]
+            )
+        for tel_v, tel_s in zip(tels["vec"], tels["scalar"]):
+            assert tel_v.metrics.snapshot() == tel_s.metrics.snapshot()
+        # Ragged tracks included: each reports its own final covariance.
+        for mon_v, mon_s in zip(mons["vec"], mons["scalar"]):
+            assert mon_v.report() == mon_s.report()
 
-    def test_smooth_falls_back_bit_identical(self):
+    def test_smooth_falls_back_bit_identical(self, force_kernel):
+        force_kernel("batch")
         accels, velocities, arcs = _mixed_batch(3)
         cfg = GradientEKFConfig(smooth=True)
-        batch = estimate_tracks_batch(accels, velocities, arcs, config=cfg)
-        scalar = [
-            estimate_track(a, v, s, config=cfg)
-            for a, v, s in zip(accels, velocities, arcs)
-        ]
-        for got, want in zip(batch, scalar):
-            assert np.array_equal(got.theta, want.theta)
-            assert np.array_equal(got.variance, want.variance)
+        routed = estimate_tracks_batch(accels, velocities, arcs, config=cfg)
+        assert all(t.meta["engine"] == "scalar" for t in routed)
+        _assert_tracks_equal(routed, _scalar(accels, velocities, arcs, config=cfg))
 
-    def test_bootstrap_without_finite_measurements_matches(self):
+    def test_bootstrap_without_finite_measurements_matches(self, force_kernel):
         # A velocity source that never reports forces the accel-based v0
         # bootstrap path; estimate_track raises in that case and so must
-        # the batch engine.
+        # both kernels.
         a, v, s = _synthetic_track(400, 0.02, seed=11)
         v.values[:] = np.nan
         v.valid[:] = False
         with pytest.raises(EstimationError):
             estimate_track(a, v, s)
-        with pytest.raises(EstimationError):
-            estimate_tracks_batch([a], [v], [s])
+        for kernel in ("scalar", "batch"):
+            force_kernel(kernel)
+            with pytest.raises(EstimationError):
+                estimate_tracks_batch([a], [v], [s])
 
     def test_length_mismatch_rejected(self):
         a, v, s = _synthetic_track(400, 0.02, seed=0)
@@ -159,7 +240,7 @@ class TestDirectEquivalence:
 
     def test_track_names_and_meta(self):
         accels, velocities, arcs = _mixed_batch(1)
-        named = estimate_tracks_batch(
+        named = _estimate_tracks_vectorized(
             accels, velocities, arcs, names=["a", "b", "c", "d"]
         )
         assert [t.name for t in named] == ["a", "b", "c", "d"]
@@ -168,7 +249,27 @@ class TestDirectEquivalence:
         assert [t.name for t in default] == [v.name for v in velocities]
 
 
-# -- full pipeline: ekf_engine="batch" vs "scalar" ---------------------------
+class TestRouting:
+    def test_threshold_sits_between_trip_and_fleet_widths(self):
+        # One trip's four sources run scalar; an 8-trip store chunk (32
+        # tracks) runs vectorized.
+        assert 4 < BATCH_MIN_TRACKS <= 32
+
+    def test_kernel_recorded_below_and_at_threshold(self):
+        n_tracks = BATCH_MIN_TRACKS
+        inputs = [
+            _synthetic_track(200, 0.02, seed=k, meas_stride=1 + k % 3)
+            for k in range(n_tracks)
+        ]
+        accels, velocities, arcs = (list(col) for col in zip(*inputs))
+        below = estimate_tracks_batch(accels[:-1], velocities[:-1], arcs[:-1])
+        at = estimate_tracks_batch(accels, velocities, arcs)
+        assert {t.meta["engine"] for t in below} == {"scalar"}
+        assert {t.meta["engine"] for t in at} == {"batch"}
+        _assert_tracks_equal(at[:-1], below)
+
+
+# -- full pipeline: vectorized vs scalar kernel --------------------------------
 
 ROUTES = {
     "rolling": dict(
@@ -204,50 +305,43 @@ def _route_recording(route: str, seed: int, density: float):
     return profile, rec
 
 
-def _run_engine(route: str, seed: int, density: float, engine: str):
+def _run_kernel(force_kernel, route: str, seed: int, density: float, kernel: str, tel=None):
+    force_kernel(kernel)
     profile, rec = _route_recording(route, seed, density)
     cfg = GradientSystemConfig(
         detector=LaneChangeDetectorConfig(thresholds=TH),
         velocity_sources=ROUTES[route]["sources"],
-        ekf_engine=engine,
     )
-    return GradientEstimationSystem(profile, config=cfg).estimate(rec)
+    return GradientEstimationSystem(profile, config=cfg, telemetry=tel).estimate(rec)
 
 
 class TestPipelineEquivalence:
     @pytest.mark.parametrize("route", sorted(ROUTES))
     @pytest.mark.parametrize("seed", [17, 99])
     @pytest.mark.parametrize("density", [0.0, 3.0])
-    def test_engines_agree(self, route, seed, density):
-        res_b = _run_engine(route, seed, density, "batch")
-        res_s = _run_engine(route, seed, density, "scalar")
+    def test_engines_agree(self, route, seed, density, force_kernel):
+        res_b = _run_kernel(force_kernel, route, seed, density, "batch")
+        res_s = _run_kernel(force_kernel, route, seed, density, "scalar")
         assert np.array_equal(res_b.s_grid, res_s.s_grid)
         assert res_b.n_lane_changes == res_s.n_lane_changes
         assert set(res_b.tracks) == set(res_s.tracks)
         for source in res_b.tracks:
             got, want = res_b.tracks[source], res_s.tracks[source]
-            assert np.max(np.abs(got.theta - want.theta)) <= TOL
-            assert np.max(np.abs(got.variance - want.variance)) <= TOL
-            assert np.max(np.abs(got.v - want.v)) <= TOL
-        assert np.max(np.abs(res_b.fused.theta - res_s.fused.theta)) <= TOL
+            assert got.meta["engine"] == "batch" and want.meta["engine"] == "scalar"
+            assert np.array_equal(got.theta, want.theta)
+            assert np.array_equal(got.variance, want.variance)
+            assert np.array_equal(got.v, want.v)
+        assert np.array_equal(res_b.fused.theta, res_s.fused.theta)
+        assert res_b.health == res_s.health
 
     def test_outage_recording_has_no_fix(self):
         _, rec = _route_recording("outage", 17, 0.0)
         assert rec.gps.availability == 0.0
 
-    def test_batch_engine_telemetry_matches_scalar(self):
-        profile, rec = _route_recording("rolling", 17, 3.0)
+    def test_batch_engine_telemetry_matches_scalar(self, force_kernel):
         snaps = {}
-        for engine in ("batch", "scalar"):
-            tel = Telemetry(engine)
-            cfg = GradientSystemConfig(
-                detector=LaneChangeDetectorConfig(thresholds=TH),
-                ekf_engine=engine,
-            )
-            GradientEstimationSystem(profile, config=cfg, telemetry=tel).estimate(rec)
-            snaps[engine] = tel.metrics.snapshot()
-        assert snaps["batch"]["counters"] == snaps["scalar"]["counters"]
-        hist_b = snaps["batch"]["histograms"]["ekf_innovation_abs"]
-        hist_s = snaps["scalar"]["histograms"]["ekf_innovation_abs"]
-        assert hist_b["count"] == hist_s["count"]
-        assert hist_b["sum"] == pytest.approx(hist_s["sum"], abs=1e-6)
+        for kernel in ("batch", "scalar"):
+            tel = Telemetry(kernel)
+            _run_kernel(force_kernel, "rolling", 17, 3.0, kernel, tel=tel)
+            snaps[kernel] = tel.metrics.snapshot()
+        assert snaps["batch"] == snaps["scalar"]

@@ -10,7 +10,7 @@ from repro.core.pipeline import (
 )
 from repro.core.lane_change.detector import LaneChangeDetectorConfig
 from repro.core.lane_change.features import LaneChangeThresholds
-from repro.errors import EstimationError
+from repro.errors import ConfigurationError, EstimationError
 
 TH = LaneChangeThresholds(delta=0.05, duration=0.5)
 
@@ -108,13 +108,10 @@ class TestConfig:
             GradientSystemConfig(velocity_sources=())
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(EstimationError, match="batch.*scalar") as excinfo:
-            GradientSystemConfig(ekf_engine="gpu")
-        assert "gpu" in str(excinfo.value)
-
-    def test_engine_values_accepted(self):
-        for engine in ("batch", "scalar"):
-            assert GradientSystemConfig(ekf_engine=engine).ekf_engine == engine
+        # The EKF kernel is routed by track count, not configured: a spec
+        # that still carries the retired ``ekf_engine`` key is rejected.
+        with pytest.raises(ConfigurationError, match="ekf_engine"):
+            GradientSystemConfig.from_dict({"ekf_engine": "batch"})
 
     def test_cache_geometry_wraps_road_map(self, hill_profile):
         from repro.roads import CachedRoadProfile

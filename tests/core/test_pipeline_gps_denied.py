@@ -2,8 +2,9 @@
 
 Pins three contracts: the offline ``estimate_track`` fuses prior-map
 gradients and inflates at reacquisition (with counters and meta to show
-for it), the batch engine routes GPS-denied configs through the scalar
-path so both ``ekf_engine`` settings agree exactly, and a disabled
+for it), ``estimate_tracks_batch`` keeps GPS-denied configs on the scalar
+core even when the track count would pick the vectorized kernel, and a
+disabled
 ``GPSDeniedConfig`` leaves pipeline outputs bit-identical to a config
 that never mentions it.
 """
@@ -126,23 +127,24 @@ class TestPipelineRouting:
         rec = Smartphone().record(trace, np.random.default_rng(10))
         return profile, rec
 
-    def make_cfg(self, engine, gd):
+    def make_cfg(self, gd):
         return GradientSystemConfig(
             detector=LaneChangeDetectorConfig(thresholds=TH),
-            ekf_engine=engine,
             gps_denied=gd,
         )
 
-    def test_batch_engine_routes_to_scalar_when_enabled(self, trip):
+    def test_batch_engine_routes_to_scalar_when_enabled(self, trip, force_kernel):
         profile, rec = trip
         results = {}
-        for engine in ("scalar", "batch"):
-            system = GradientEstimationSystem(
-                profile, config=self.make_cfg(engine, GD)
-            )
-            results[engine] = system.estimate(rec)
-        # Identical, not merely close: the batch engine must defer to the
-        # scalar path whenever GPS-denied handling is enabled.
+        for kernel in ("scalar", "batch"):
+            force_kernel(kernel)
+            system = GradientEstimationSystem(profile, config=self.make_cfg(GD))
+            results[kernel] = system.estimate(rec)
+        # Even when the track count routes to the vectorized kernel, an
+        # enabled GPS-denied config must run (and apply) the scalar plan.
+        tracks = results["batch"].tracks.values()
+        assert all(track.meta["engine"] == "scalar" for track in tracks)
+        assert any("gps_denied" in track.meta for track in tracks)
         assert np.array_equal(
             results["scalar"].fused.theta, results["batch"].fused.theta
         )
@@ -151,20 +153,23 @@ class TestPipelineRouting:
         )
 
     @pytest.mark.parametrize("engine", ["scalar", "batch"])
-    def test_disabled_config_is_bit_identical(self, trip, engine):
+    def test_disabled_config_is_bit_identical(self, trip, engine, force_kernel):
+        force_kernel(engine)
         profile, rec = trip
         base = GradientEstimationSystem(
             profile,
             config=GradientSystemConfig(
-                detector=LaneChangeDetectorConfig(thresholds=TH), ekf_engine=engine
+                detector=LaneChangeDetectorConfig(thresholds=TH)
             ),
         ).estimate(rec)
         gated = GradientEstimationSystem(
-            profile, config=self.make_cfg(engine, GPSDeniedConfig(enabled=False))
+            profile, config=self.make_cfg(GPSDeniedConfig(enabled=False))
         ).estimate(rec)
         assert np.array_equal(base.fused.theta, gated.fused.theta)
+        for track in gated.tracks.values():
+            assert track.meta["engine"] == engine
 
     def test_gps_denied_config_serializes_through_system_config(self):
-        cfg = self.make_cfg("scalar", GD)
+        cfg = self.make_cfg(GD)
         rebuilt = GradientSystemConfig.from_dict(cfg.to_dict())
         assert rebuilt.gps_denied == GD

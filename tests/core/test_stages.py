@@ -11,7 +11,6 @@ arithmetic operation.
 import numpy as np
 import pytest
 
-from repro.core.batch import estimate_tracks_batch
 from repro.core.gradient_ekf import estimate_track
 from repro.core.lane_change.correction import correct_velocity_signal
 from repro.core.lane_change.detector import LaneChangeDetectorConfig
@@ -39,10 +38,8 @@ from repro.vehicle import DriverProfile, SimulationConfig, simulate_trip
 TH = LaneChangeThresholds(delta=0.05, duration=0.5)
 
 
-def _config(engine: str) -> GradientSystemConfig:
-    return GradientSystemConfig(
-        detector=LaneChangeDetectorConfig(thresholds=TH), ekf_engine=engine
-    )
+def _config() -> GradientSystemConfig:
+    return GradientSystemConfig(detector=LaneChangeDetectorConfig(thresholds=TH))
 
 
 def _record(profile, seed: int):
@@ -56,10 +53,12 @@ def _record(profile, seed: int):
 
 
 def _legacy_estimate(system, recording):
-    """The pre-refactor inline ``estimate`` body, preserved verbatim.
+    """The pre-refactor inline ``estimate`` body.
 
     This is the reference implementation the stage objects were extracted
     from; it must keep producing exactly what the stage runner produces.
+    Its EKF step is the per-source scalar loop, which both EKF kernels
+    reproduce bit for bit.
     """
     cfg = system.config
     aligned = system.alignment.align(recording.gyro, recording.speedometer, recording.gps)
@@ -73,29 +72,17 @@ def _legacy_estimate(system, recording):
             signal = correct_velocity_signal(signal, aligned.t, w_smooth, events)
         signals.append(signal)
 
-    if cfg.ekf_engine == "batch" and len(signals) > 1:
-        n = len(signals)
-        batch = estimate_tracks_batch(
-            [recording.accel_long] * n,
-            signals,
-            [aligned.s] * n,
+    tracks = {
+        source: estimate_track(
+            recording.accel_long,
+            signal,
+            aligned.s,
             vehicle=system.vehicle,
             config=cfg.ekf,
-            names=list(cfg.velocity_sources),
+            name=source,
         )
-        tracks = dict(zip(cfg.velocity_sources, batch))
-    else:
-        tracks = {
-            source: estimate_track(
-                recording.accel_long,
-                signal,
-                aligned.s,
-                vehicle=system.vehicle,
-                config=cfg.ekf,
-                name=source,
-            )
-            for source, signal in zip(cfg.velocity_sources, signals)
-        }
+        for source, signal in zip(cfg.velocity_sources, signals)
+    }
 
     s_grid = fusion_grid(aligned, system.road_map.length, cfg.fusion_grid_spacing)
     fused = fuse_tracks(list(tracks.values()), s_grid, name="fused")
@@ -120,22 +107,24 @@ class TestLegacyEquivalence:
     """Stage runner == pre-refactor inline pipeline, to 1e-12."""
 
     @pytest.mark.parametrize("engine", ["batch", "scalar"])
-    def test_red_route(self, engine):
+    def test_red_route(self, engine, force_kernel):
+        force_kernel(engine)
         profile = red_route()
         recording = _record(profile, seed=11)
-        system = GradientEstimationSystem(profile, config=_config(engine))
+        system = GradientEstimationSystem(profile, config=_config())
         _assert_equivalent(
             system.estimate(recording), _legacy_estimate(system, recording)
         )
 
     @pytest.mark.slow
     @pytest.mark.parametrize("engine", ["batch", "scalar"])
-    def test_large_network_tour(self, engine):
+    def test_large_network_tour(self, engine, force_kernel):
+        force_kernel(engine)
         net = city_network(target_length_km=15.0, seed=7)
         tour = net.coverage_tour(max_length_m=6_000.0)
         profile = net.route_profile(tour, name="net-tour")
         recording = _record(profile, seed=3)
-        system = GradientEstimationSystem(profile, config=_config(engine))
+        system = GradientEstimationSystem(profile, config=_config())
         _assert_equivalent(
             system.estimate(recording), _legacy_estimate(system, recording)
         )

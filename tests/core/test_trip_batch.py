@@ -153,10 +153,9 @@ def _assert_results_equal(a, b):
 
 class TestEstimateBatch:
     @pytest.mark.parametrize("engine", ["batch", "scalar"])
-    def test_bit_identical_to_serial(self, profile, fleet, engine):
-        cfg = dataclasses.replace(
-            system_config(RunnerConfig(n_trips=4, seed=5)), ekf_engine=engine
-        )
+    def test_bit_identical_to_serial(self, profile, fleet, engine, force_kernel):
+        force_kernel(engine)
+        cfg = system_config(RunnerConfig(n_trips=4, seed=5))
         system = GradientEstimationSystem(road_map=profile, config=cfg)
         serial = [system.estimate(r) for r in fleet]
         batched = system.estimate_batch(fleet)
@@ -164,6 +163,30 @@ class TestEstimateBatch:
         assert batched.errors == {}
         for s, b in zip(serial, batched.results):
             _assert_results_equal(s, b)
+
+    @pytest.mark.parametrize("n_trips", [1, 2, 4])
+    def test_bit_identical_across_kernel_threshold(
+        self, profile, fleet, n_trips, monkeypatch
+    ):
+        # With the threshold at 8 tracks a per-trip call (4 tracks) runs
+        # the scalar core while a chunk of two or more trips runs the
+        # vectorized kernel; the chunk a trip lands in must not matter.
+        import repro.core.batch as batch_mod
+
+        monkeypatch.setattr(batch_mod, "BATCH_MIN_TRACKS", 8)
+        system = make_system(profile, RunnerConfig(n_trips=4, seed=5))
+        chunk = fleet[:n_trips]
+        serial = [system.estimate(r) for r in chunk]
+        batched = system.estimate_batch(chunk)
+        want_engine = "scalar" if 4 * n_trips < 8 else "batch"
+        for s, b in zip(serial, batched.results):
+            _assert_results_equal(s, b)
+            for name, track in s.tracks.items():
+                assert track.meta["engine"] == "scalar"
+                assert b.tracks[name].meta["engine"] == want_engine
+                assert np.array_equal(track.variance, b.tracks[name].variance)
+                assert np.array_equal(track.v, b.tracks[name].v)
+            assert s.health == b.health
 
     def test_bit_identical_under_faults_and_robust_stages(self, profile):
         faults = FaultSuiteConfig(
@@ -214,6 +237,35 @@ class TestEstimateBatch:
             _assert_results_equal(s, b)
         snap = tel.metrics.snapshot()
         assert snap["counters"].get("pipeline.batch.trip_failed") == 1
+
+    def test_ekf_failure_isolated_on_scalar_route(self, profile, fleet, monkeypatch):
+        # Four trips (16 tracks) sit below the vectorized threshold, so a
+        # trip whose EKF raises must fail alone, with every other trip's
+        # result and telemetry as in a serial run.
+        import repro.core.batch as batch_mod
+
+        cfg = RunnerConfig(n_trips=4, seed=5)
+        serial, serial_snaps = [], []
+        for rec in fleet:
+            tel = Telemetry("trip")
+            serial.append(make_system(profile, cfg, telemetry=tel).estimate(rec))
+            serial_snaps.append(tel.metrics.snapshot())
+
+        bad_accel = fleet[1].accel_long.values
+        real = batch_mod.estimate_track
+
+        def flaky(accel, *args, **kwargs):
+            if np.array_equal(accel.values, bad_accel):
+                raise EstimationError("boom")
+            return real(accel, *args, **kwargs)
+
+        monkeypatch.setattr(batch_mod, "estimate_track", flaky)
+        tels = [Telemetry("trip") for _ in fleet]
+        batched = make_system(profile, cfg).estimate_batch(fleet, telemetries=tels)
+        assert set(batched.errors) == {1}
+        for i in (0, 2, 3):
+            _assert_results_equal(serial[i], batched.results[i])
+            assert tels[i].metrics.snapshot() == serial_snaps[i]
 
     def test_telemetries_length_validated(self, profile, fleet):
         system = make_system(profile, RunnerConfig(n_trips=4, seed=5))

@@ -31,8 +31,16 @@ def _write_artifacts(bench_dir, speedup=8.0, clean_rmse=0.2, overhead=1.01):
     (bench_dir / "BENCH_batch.json").write_text(
         json.dumps(
             [
+                # A series-1 record (older scalar loop) before series 2.
                 {"speedup": 5.0, "batch_s": 0.4, "scalar_s": 2.0},
-                {"speedup": speedup, "batch_s": 0.25, "scalar_s": 2.0},
+                {
+                    "series": 2,
+                    "n_tracks": 64,
+                    "speedup": speedup,
+                    "scalar_ns_per_track_tick": 1600.0,
+                    "batch_ns_per_track_tick": 1600.0 / speedup,
+                    "crossover_tracks": 32,
+                },
             ]
         )
     )
@@ -40,7 +48,13 @@ def _write_artifacts(bench_dir, speedup=8.0, clean_rmse=0.2, overhead=1.01):
         json.dumps(
             [
                 {"speedup": 2.1, "serial_s": 10.0, "batch_s": 4.76, "trips_per_sec": 6.7},
-                {"speedup": 2.4, "serial_s": 10.0, "batch_s": 4.17, "trips_per_sec": 7.7},
+                {
+                    "speedup": 2.4,
+                    "serial_s": 10.0,
+                    "batch_s": 4.17,
+                    "trips_per_sec": 7.7,
+                    "serial_trips_per_sec": 3.2,
+                },
             ]
         )
     )
@@ -86,9 +100,11 @@ class TestCollect:
     def test_extracts_tracked_metrics(self, tmp_path):
         _write_artifacts(tmp_path)
         metrics = collect_metrics(tmp_path)
-        assert metrics["batch.speedup"] == 8.0  # latest entry wins
+        assert metrics["batch.speedup_64"] == 8.0  # latest entry wins
+        assert metrics["batch.crossover_tracks"] == 32.0
         assert metrics["pipeline.speedup"] == 2.4
         assert metrics["pipeline.trips_per_sec"] == 7.7
+        assert metrics["pipeline.serial_trips_per_sec"] == 3.2
         assert metrics["faults.clean_rmse_deg"] == 0.2
         assert metrics["faults.max_rmse_ratio"] == 2.5
         assert metrics["faults.n_scenarios_failed"] == 1.0
@@ -102,7 +118,7 @@ class TestCollect:
         _write_artifacts(tmp_path)
         (tmp_path / "BENCH_batch.json").write_text("{not json")
         metrics = collect_metrics(tmp_path)
-        assert "batch.speedup" not in metrics
+        assert "batch.speedup_64" not in metrics
         assert "faults.clean_rmse_deg" in metrics
 
 
@@ -154,13 +170,17 @@ class TestRules:
         assert rule.evaluate(1.0, None) is None
         assert "ceiling" in rule.evaluate(1.2, None)
 
-    def test_pipeline_speedup_floor_gates_without_history(self):
-        # The whole-pipeline batching gate: < 2x fails even with no
-        # previous entry to diff against.
-        rule = next(r for r in DEFAULT_RULES if r.metric == "pipeline.speedup")
-        assert rule.min_value == 2.0
-        assert rule.evaluate(1.8, None) is not None
-        assert rule.evaluate(2.2, None) is None
+    def test_pipeline_throughput_gates_replace_speedup_floor(self):
+        # Each evaluation runner's own throughput is gated against the
+        # previous same-machine entry; the serial/batched ratio is not.
+        rules = {r.metric: r for r in DEFAULT_RULES}
+        assert "pipeline.speedup" not in rules
+        for metric in ("pipeline.trips_per_sec", "pipeline.serial_trips_per_sec"):
+            rule = rules[metric]
+            assert rule.direction == "higher" and rule.tolerance == 0.25
+            assert rule.min_value is None
+            assert rule.evaluate(7.0, 10.0) is not None  # -30 %
+            assert rule.evaluate(8.0, 10.0) is None  # -20 %
 
     def test_absent_metric_skipped(self):
         violations = check_regressions({"other": 1.0}, None, DEFAULT_RULES)
@@ -174,7 +194,7 @@ class TestCLI:
         assert "no regressions" in capsys.readouterr().out
         history = load_history(tmp_path / HISTORY_NAME)
         assert len(history) == 1
-        assert history[0]["metrics"]["batch.speedup"] == 8.0
+        assert history[0]["metrics"]["batch.speedup_64"] == 8.0
 
     def test_injected_regression_exits_nonzero(self, tmp_path, capsys):
         # First run establishes the baseline...
@@ -185,7 +205,7 @@ class TestCLI:
         assert _main(["check", str(tmp_path)]) == 1
         out = capsys.readouterr().out
         assert "REGRESSION" in out
-        assert "batch.speedup" in out
+        assert "batch.speedup_64" in out
 
     def test_absolute_ceiling_regression_without_history(self, tmp_path):
         _write_artifacts(tmp_path, overhead=1.5)  # > 1.05 ceiling
@@ -201,7 +221,7 @@ class TestCLI:
         rules = tmp_path / "rules.json"
         rules.write_text(
             json.dumps(
-                [{"metric": "batch.speedup", "direction": "higher", "min_value": 100.0}]
+                [{"metric": "batch.speedup_64", "direction": "higher", "min_value": 100.0}]
             )
         )
         assert _main(["check", str(tmp_path), "--rules", str(rules)]) == 1
@@ -214,7 +234,7 @@ class TestCLI:
         _write_artifacts(tmp_path)
         assert _main(["collect", str(tmp_path)]) == 0
         decoded = json.loads(capsys.readouterr().out)
-        assert decoded["batch.speedup"] == 8.0
+        assert decoded["batch.speedup_64"] == 8.0
 
     def test_report_renders_health_and_deltas(self, tmp_path, capsys):
         _write_artifacts(tmp_path)

@@ -1,7 +1,11 @@
 """Profiler tests: sections, stage wrapping, throughput, eval integration."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -155,3 +159,29 @@ class TestEvalIntegration:
         assert manifest["health"]["worst_verdict"] == "ok"
         assert manifest["kind"] == "evaluate_trips"
         assert manifest["config"]["n_trips"] == 1
+
+
+class TestModuleEntryPoint:
+    def test_runs_without_runtime_warning(self):
+        # ``repro.obs`` must not import ``repro.obs.profile`` eagerly, or
+        # ``python -m repro.obs.profile`` trips runpy's RuntimeWarning.
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "repro.obs.profile", "--help"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert "usage:" in proc.stdout
+
+    def test_profiler_still_exported_lazily(self):
+        import repro.obs
+
+        assert repro.obs.Profiler is Profiler
+        assert "Profiler" in repro.obs.__all__
+        with pytest.raises(AttributeError):
+            repro.obs.NoSuchThing  # noqa: B018

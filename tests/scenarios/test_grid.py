@@ -86,18 +86,21 @@ class TestGridReproducesResilience:
 
 class TestGoldenCells:
     @pytest.mark.parametrize("style", ["safe", "normal", "aggressive"])
-    def test_clean_rmse_per_style_on_both_engines(self, red_profile, style):
-        """Each driver style's clean cell holds on batch AND scalar EKF."""
+    def test_clean_rmse_per_style_on_both_engines(
+        self, red_profile, style, force_kernel
+    ):
+        """Each driver style's clean cell holds on the vectorized AND the
+        scalar EKF kernel."""
         runner = RunnerConfig(seed=3, scenario=ScenarioConfig().with_driver(style))
         _, rec = simulate_recording(red_profile, runner, 0)
 
         rmse = {}
         for engine in ("batch", "scalar"):
+            force_kernel(engine)
             sys_cfg = GradientSystemConfig(
                 detector=LaneChangeDetectorConfig(
                     thresholds=calibrated_thresholds()
                 ),
-                ekf_engine=engine,
             )
             res = GradientEstimationSystem(red_profile, config=sys_cfg).estimate(rec)
             # Score on the trimmed interior, like the evaluation runner.
@@ -110,5 +113,5 @@ class TestGoldenCells:
             )
             assert rmse[engine] < GOLDEN_RMSE_DEG, (style, engine, rmse[engine])
 
-        # The engines are two implementations of one filter.
-        assert abs(rmse["batch"] - rmse["scalar"]) < 1e-6
+        # The kernels are two bit-identical implementations of one filter.
+        assert rmse["batch"] == rmse["scalar"]

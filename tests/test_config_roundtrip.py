@@ -39,7 +39,6 @@ CASES = [
         velocity_sources=("gps", "speedometer"),
         apply_lane_change_correction=False,
         fusion_grid_spacing=2.5,
-        ekf_engine="scalar",
         cache_geometry=False,
         stages=("alignment", "ekf_tracks", "fusion"),
     ),
@@ -142,8 +141,8 @@ class TestDecodeErrors:
     def test_semantic_validation_still_runs(self):
         # __post_init__ runs on reconstruction, so a decodable-but-invalid
         # spec still fails with the domain error.
-        with pytest.raises(EstimationError, match="ekf_engine"):
-            GradientSystemConfig.from_dict({"ekf_engine": "gpu"})
+        with pytest.raises(EstimationError, match="grid spacing"):
+            GradientSystemConfig.from_dict({"fusion_grid_spacing": -1.0})
         with pytest.raises(EstimationError, match="stage"):
             GradientSystemConfig.from_dict({"stages": ["warp_drive"]})
 
