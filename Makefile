@@ -2,7 +2,7 @@
 
 PYTEST := PYTHONPATH=src python -m pytest
 
-.PHONY: check lint lint-rules typecheck metric-names test fast test-faults test-scenarios coverage bench-smoke bench bench-batch bench-pipeline bench-faults bench-scenarios bench-gps-denied perfbench profile benchtrack benchtrack-report
+.PHONY: check lint lint-rules typecheck metric-names test fast test-faults test-scenarios coverage bench-smoke bench bench-batch bench-pipeline bench-faults bench-scenarios bench-gps-denied perfbench coldstart profile benchtrack benchtrack-report
 
 # Fast-lane coverage floor enforced in the CI PR lane (see ci.yml):
 # measured 94.6% line coverage over src/repro, floored at measured - 1.
@@ -89,6 +89,11 @@ bench-gps-denied:
 perfbench:
 	$(PYTEST) perfbench -q -p no:cacheprovider
 	python3 perfbench/run.py --workload all --seed 0 --seconds 20
+
+# Cold start per workload: the setup.* per-layer lines (import, build, first
+# call) of a short traced run of all three workloads.
+coldstart:
+	python3 perfbench/run.py --workload all --seed 0 --seconds 2 --trace 1 | grep -F ' setup.'
 
 profile:
 	PYTHONPATH=src python -m repro.obs.profile --trips 3

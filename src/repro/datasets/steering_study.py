@@ -180,7 +180,29 @@ def _average_features(features: list[ManeuverFeatures], direction: int) -> Maneu
     )
 
 
-_THRESHOLD_CACHE: dict[SteeringStudyConfig, LaneChangeThresholds] = {}
+#: ``run_steering_study(SteeringStudyConfig()).thresholds``, pinned so a
+#: process need not re-run the ~1 s study before its first estimate. Every
+#: float is its ``repr``, so the values round-trip exactly;
+#: ``tests/datasets/test_steering_study.py`` re-runs the study against it.
+DEFAULT_THRESHOLDS = LaneChangeThresholds(
+    delta=0.0560499694959212,
+    duration=0.7144444444444451,
+    threshold_coeff=0.7,
+    table={
+        "delta_L+": 0.07033859270009718,
+        "delta_L-": 0.06063334653670813,
+        "delta_R+": 0.0560499694959212,
+        "delta_R-": 0.06557631366726945,
+        "T_L+": 0.7400000000000007,
+        "T_L-": 0.8766666666666674,
+        "T_R+": 0.8600000000000008,
+        "T_R-": 0.7144444444444451,
+    },
+)
+
+_THRESHOLD_CACHE: dict[SteeringStudyConfig, LaneChangeThresholds] = {
+    SteeringStudyConfig(): DEFAULT_THRESHOLDS,
+}
 
 
 def calibrated_thresholds(config: SteeringStudyConfig | None = None) -> LaneChangeThresholds:
@@ -189,7 +211,9 @@ def calibrated_thresholds(config: SteeringStudyConfig | None = None) -> LaneChan
     This is the analogue of using the paper's Table I values with the
     paper's own hardware: every evaluation in this repository detects lane
     changes with thresholds derived from the same maneuver model that
-    generates them.
+    generates them. The default config returns the pinned
+    :data:`DEFAULT_THRESHOLDS` without running the study; any other config
+    runs :func:`run_steering_study` once per process.
     """
     cfg = config or SteeringStudyConfig()
     if cfg not in _THRESHOLD_CACHE:

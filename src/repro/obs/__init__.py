@@ -1,7 +1,7 @@
 """Observability for the estimation stack: tracing, metrics, health, export.
 
-The subsystem is deliberately dependency-free (stdlib + numpy + scipy for
-chi-square bounds) and splits into seven layers:
+The subsystem is deliberately dependency-free (stdlib + numpy +
+``scipy.special`` for chi-square bounds) and splits into seven layers:
 
 * :mod:`~repro.obs.trace` — nested span timers (``with tel.span("stage")``);
 * :mod:`~repro.obs.metrics` — process-local counters/gauges/histograms,

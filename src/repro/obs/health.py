@@ -74,29 +74,28 @@ _SCREEN_CHANNELS = (
     ("canbus", False),
 )
 
-_chi2_cache: dict[tuple[int, float], float] = {}
+#: ``chi2.ppf(confidence, window) / window`` per ``(window, confidence)``,
+#: seeded with the :class:`HealthConfig` default (its ``repr``, checked
+#: against ``chi2.ppf`` in ``tests/obs/test_health.py``) so the default
+#: monitors never import scipy.
+_chi2_cache: dict[tuple[int, float], float] = {(25, 0.999999): 2.955781544911436}
 
 
 def nis_bound(window: int, confidence: float = 0.999999, margin: float = 2.0) -> float:
     """Upper bound on the windowed mean NIS of a consistent filter.
 
     ``margin * chi2.ppf(confidence, window) / window`` — see the module
-    docstring. Falls back to the Wilson-Hilferty approximation when scipy
-    is unavailable (agrees to ~1% at these dof).
+    docstring. The quantile is ``2 * gammaincinv(window / 2, confidence)``
+    from :mod:`scipy.special`, which is how scipy's ``chi2.ppf`` computes
+    it, so the bound is bit-identical without importing scipy's statistics
+    package (~1 s). scipy is a hard dependency; there is no fallback.
     """
     key = (int(window), float(confidence))
     ppf = _chi2_cache.get(key)
     if ppf is None:
-        try:
-            from scipy.stats import chi2
+        from scipy.special import gammaincinv
 
-            ppf = float(chi2.ppf(confidence, window)) / window
-        except ImportError:  # pragma: no cover - scipy is a core dependency
-            from statistics import NormalDist
-
-            z = NormalDist().inv_cdf(confidence)
-            a = 2.0 / (9.0 * window)
-            ppf = (1.0 - a + z * math.sqrt(a)) ** 3
+        ppf = 2.0 * float(gammaincinv(window / 2, confidence)) / window
         _chi2_cache[key] = ppf
     return margin * ppf
 

@@ -3,7 +3,9 @@
 Wraps :mod:`networkx` so routes (node sequences) can be resolved into a
 single concatenated :class:`~repro.roads.profile.RoadProfile` ready for
 simulation, and so applications (fuel-aware routing, emission maps) can run
-graph algorithms with physically meaningful edge weights.
+graph algorithms with physically meaningful edge weights. ``networkx`` is
+imported by the methods that use it, so ``import repro`` and the per-trip
+estimation path never load it.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterator
 
-import networkx as nx
 import numpy as np
 
 from ..errors import RouteError
@@ -109,6 +110,8 @@ class RoadNetwork:
     """A directed road graph whose edges carry full road profiles."""
 
     def __init__(self, name: str = "network") -> None:
+        import networkx as nx
+
         self.name = name
         self.graph = nx.DiGraph()
 
@@ -220,6 +223,8 @@ class RoadNetwork:
     def _nearest_with_unvisited(
         self, source: Hashable, unvisited: set[int]
     ) -> list[Hashable] | None:
+        import networkx as nx
+
         lengths, paths = nx.single_source_dijkstra(
             self.graph, source, weight=lambda u, v, d: d["edge"].length
         )
@@ -241,6 +246,8 @@ class RoadNetwork:
         weight: Callable[[RoadEdge], float] | None = None,
     ) -> list[Hashable]:
         """Shortest node path by road length, or by a custom edge cost."""
+        import networkx as nx
+
         if weight is None:
             def cost(u, v, data):
                 return data["edge"].length

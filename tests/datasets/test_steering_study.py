@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.datasets.steering_study import (
+    DEFAULT_THRESHOLDS,
     SteeringStudyConfig,
     calibrated_thresholds,
     maneuver_profile,
@@ -90,3 +91,26 @@ class TestCache:
         a = calibrated_thresholds(FAST)
         b = calibrated_thresholds(FAST)
         assert a is b
+
+    def test_default_thresholds_match_fresh_study(self):
+        """The pinned default is what the study computes on this host."""
+
+        def cells(th):
+            return {
+                "delta": th.delta,
+                "duration": th.duration,
+                "threshold_coeff": th.threshold_coeff,
+                **th.table,
+            }
+
+        got = cells(run_steering_study(SteeringStudyConfig()).thresholds)
+        pinned = cells(DEFAULT_THRESHOLDS)
+        fresh_lines = "\n".join(f"    {k!r}: {v!r}," for k, v in got.items())
+        assert got.keys() == pinned.keys()
+        for key, value in got.items():
+            assert value == pytest.approx(pinned[key], rel=1e-12), (
+                f"{key}: fresh study gives {value!r}, DEFAULT_THRESHOLDS pins "
+                f"{pinned[key]!r}. If the study changed on purpose, copy these "
+                f"fresh values into DEFAULT_THRESHOLDS in "
+                f"src/repro/datasets/steering_study.py:\n{fresh_lines}"
+            )

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from repro.core.pipeline import GradientSystemConfig
 from repro.errors import ConfigurationError
@@ -27,10 +28,13 @@ from repro.obs.health import (
 
 class TestNisBound:
     def test_matches_chi_square_quantile(self):
-        scipy_stats = pytest.importorskip("scipy.stats")
-        w, conf, margin = 25, 0.999999, 2.0
-        expected = margin * float(scipy_stats.chi2.ppf(conf, w)) / w
-        assert nis_bound(w, conf, margin) == pytest.approx(expected)
+        # Exact: the bound is computed the way chi2.ppf computes it, and the
+        # pinned default entry (25, 0.999999) must be the same float.
+        margin = 2.0
+        for w in (2, 5, 10, 25, 50, 100):
+            for conf in (0.95, 0.99, 0.999999):
+                expected = margin * float(chi2.ppf(conf, w)) / w
+                assert nis_bound(w, conf, margin) == expected, (w, conf)
 
     def test_tightens_with_window(self):
         # Averaging more updates concentrates the mean NIS around 1.
