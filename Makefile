@@ -62,6 +62,8 @@ bench:
 bench-batch:
 	$(PYTEST) benchmarks/bench_batch_vs_scalar.py -q -p no:cacheprovider
 	PYTHONPATH=src python benchmarks/bench_batch_vs_scalar.py
+	$(PYTEST) benchmarks/bench_extension_offline.py -k smoothed_track \
+		--benchmark-only -q -p no:cacheprovider
 
 bench-pipeline:
 	$(PYTEST) benchmarks/bench_pipeline_batch.py -q -p no:cacheprovider

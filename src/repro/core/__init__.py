@@ -10,7 +10,6 @@ from .gradient_ekf import (
     GradientEKFConfig,
     GradientFilterCore,
     estimate_track,
-    estimate_track_generic,
     measurements_on_timebase,
 )
 from .sanitize import SanitizeConfig, SanitizeStage, sanitize_recording, sanitize_signal
@@ -66,7 +65,6 @@ __all__ = [
     "BATCH_CHANNELS",
     "BatchPipelineContext",
     "TripBatch",
-    "estimate_track_generic",
     "measurements_on_timebase",
     "DEFAULT_STAGES",
     "ROBUST_STAGES",

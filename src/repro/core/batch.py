@@ -3,9 +3,9 @@
 :func:`estimate_tracks_batch` runs the ``[v, theta]`` filter over many
 tracks at once — one trip's velocity sources on a phone, or the flattened
 tracks of many trips in the cloud (Sec III-C3). Below
-:data:`BATCH_MIN_TRACKS` tracks it loops the scalar core
-(:func:`~repro.core.gradient_ekf.estimate_track`, plain Python floats);
-at or above it, :func:`_estimate_tracks_vectorized` stacks the tracks into
+:data:`BATCH_MIN_TRACKS` tracks it calls the scalar engine
+(:func:`~repro.core.gradient_ekf.estimate_track`, whose forward pass runs
+on Python locals and floats) once per track; at or above it, :func:`_estimate_tracks_vectorized` stacks the tracks into
 ``(tick, track)`` arrays and advances them all per tick with numpy, paying
 the per-tick dispatch cost once instead of N times. The threshold is the
 crossover measured by ``benchmarks/bench_batch_vs_scalar.py``.
@@ -22,7 +22,7 @@ which numpy does not promise on every build and CPU (checked by name in
 Tracks may differ in length, timebase and velocity source; the vectorized
 loop pads shorter tracks (zero accel, no measurements) and the padding
 never reaches the output. ``config.smooth=True`` and an enabled GPS-denied
-config always take the scalar core — the RTS backward pass and the outage
+config always take the scalar engine — the RTS backward pass and the outage
 plan are not vectorized.
 """
 
@@ -44,17 +44,18 @@ from .track import GradientTrack
 __all__ = ["BATCH_MIN_TRACKS", "estimate_tracks_batch", "runs_vectorized"]
 
 #: Track count from which :func:`estimate_tracks_batch` uses the vectorized
-#: tick loop instead of looping the scalar core: the measured crossover
+#: tick loop instead of looping the scalar engine: the measured crossover
 #: (``benchmarks/bench_batch_vs_scalar.py`` → ``BENCH_batch.json``; on a
-#: 2-CPU x86_64 host the vectorized kernel ran at 0.99-1.07x the scalar
-#: loop at 24 tracks and 1.34-1.49x at 32). One trip's four sources stay
-#: scalar; an 8-trip chunk (32 tracks) runs vectorized.
+#: 2-CPU x86_64 host, against the locals-only scalar forward pass, the
+#: vectorized kernel ran at 0.94x the scalar engine at 24 tracks, 1.23x
+#: at 32 and 1.97x at 64). One trip's four sources stay scalar; an 8-trip
+#: chunk (32 tracks) runs vectorized.
 BATCH_MIN_TRACKS = 32
 
 
 def runs_vectorized(n_tracks: int, config: GradientEKFConfig, gps_denied=None) -> bool:
     """Whether :func:`estimate_tracks_batch` runs ``n_tracks`` tracks on the
-    vectorized loop rather than the scalar core."""
+    vectorized loop rather than the scalar engine."""
     gd_on = gps_denied is not None and gps_denied.enabled
     return n_tracks >= BATCH_MIN_TRACKS and not config.smooth and not gd_on
 
@@ -93,7 +94,7 @@ def estimate_tracks_batch(
         ``telemetry`` / ``monitor`` singletons.
     gps_denied:
         Optional :class:`~repro.core.dead_reckoning.GPSDeniedConfig`; when
-        enabled every track runs through the scalar core, which owns the
+        enabled every track runs through the scalar engine, which owns the
         outage plan.
 
     Returns
@@ -198,12 +199,8 @@ def _estimate_tracks_vectorized(
         a_in[:n_k, k] = accels[k].values
         z_k = measurements_on_timebase(ts[k], velocities[k])
         z_in[:n_k, k] = z_k
-        first = np.flatnonzero(np.isfinite(z_k))
-        v[k] = (
-            float(z_k[first[0]])
-            if len(first)
-            else float(np.nanmax([accels[k].values[0], 0.0]))
-        )
+        # measurements_on_timebase raised if no measurement is valid.
+        v[k] = float(z_k[np.argmax(np.isfinite(z_k))])
         tel_k = tels[k]
         if tel_k is not None:
             vel = velocities[k]

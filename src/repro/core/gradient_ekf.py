@@ -2,34 +2,35 @@
 
 ``estimate_track`` runs an EKF over ``x = [v, theta]`` driven by the
 accelerometer at the phone rate and corrected by one velocity source; the
-output is a :class:`~repro.core.track.GradientTrack`. Two interchangeable
-engines exist:
+output is a :class:`~repro.core.track.GradientTrack`. The filter is a
+hand-specialized scalar 2-state EKF, algebraically identical to running
+:class:`~repro.core.state_space.GradientStateSpace` through the generic
+:class:`~repro.core.ekf.ExtendedKalmanFilter` (the test suite keeps that
+generic run as an oracle) but ~20x faster, which matters on the 165 km
+network experiment.
 
-* :func:`estimate_track` uses a hand-specialized scalar 2-state filter —
-  algebraically identical to the generic EKF but ~20x faster, which matters
-  on the 165 km network experiment;
-* :func:`estimate_track_generic` runs the same model through
-  :class:`~repro.core.ekf.ExtendedKalmanFilter`. A unit test pins both to
-  the same output.
-
-The single-tick predict/update arithmetic lives in one place —
-:class:`GradientFilterCore` — shared by the offline scalar engine here and
-the on-phone streaming path
-(:class:`~repro.core.online.StreamingGradientEstimator`), so the two can
-never drift apart numerically. The vectorized kernel in
-:mod:`repro.core.batch` writes the same equations over arrays; the core
-hoists the same per-track constants and associates every product the same
-way, so the two kernels are bit-identical and
-:func:`~repro.core.batch.estimate_tracks_batch` picks between them by
-track count alone. :func:`estimate_track` runs the core on plain Python
-floats (the inputs are unboxed with ``tolist()`` once), so no tick pays
-for numpy scalar arithmetic.
+:class:`GradientFilterCore` is the streaming tick: one predict/update per
+call, driven sample by sample on the phone
+(:class:`~repro.core.online.StreamingGradientEstimator`). Offline,
+:func:`estimate_track` runs :func:`_forward_pass`, which copies the core's
+arithmetic operation for operation onto Python locals (the inputs are
+unboxed with ``tolist()`` once) so a tick pays for no method calls,
+attribute traffic or numpy scalars; the RTS backward pass
+(:func:`_rts_backward`) runs on plain floats the same way.
+``tests/core/test_forward_pass.py`` pins the forward pass bit for bit to a
+loop over the core, so the two spellings cannot drift apart. The
+vectorized kernel in :mod:`repro.core.batch` writes the same equations
+over arrays with the same hoisting and association, so it is bit-identical
+too and :func:`~repro.core.batch.estimate_tracks_batch` picks between the
+kernels by track count alone.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,15 +40,12 @@ from ..errors import DegradedInputError, EstimationError
 from ..obs import Telemetry
 from ..sensors.base import SampledSignal
 from ..vehicle.params import DEFAULT_VEHICLE, VehicleParams
-from .ekf import EKFModel, ExtendedKalmanFilter
-from .state_space import GradientStateSpace
 from .track import GradientTrack
 
 __all__ = [
     "GradientEKFConfig",
     "GradientFilterCore",
     "estimate_track",
-    "estimate_track_generic",
     "measurements_on_timebase",
 ]
 
@@ -101,18 +99,19 @@ class GradientEKFConfig(SerializableConfig):
 class GradientFilterCore:
     """Single-tick predict/update of the ``[v, theta]`` gradient EKF.
 
-    This is the *one* implementation of the paper's per-track filter math
-    (Eq 4/5 prediction, H = [1, 0] velocity update). The offline scalar
-    engine (:func:`estimate_track`) drives it tick by tick over a whole
-    recording; the streaming estimator
+    The streaming tick of the paper's per-track filter (Eq 4/5 prediction,
+    H = [1, 0] velocity update): the on-phone estimator
     (:class:`~repro.core.online.StreamingGradientEstimator`) drives it one
-    sample at a time on the phone. Both therefore produce bit-identical
-    state sequences by construction.
+    sample at a time. The offline engine (:func:`estimate_track`) reads
+    its constants and initial state and runs the same arithmetic inlined
+    over a whole track (:func:`_forward_pass`), writing the final state
+    back; a property test pins the two bit for bit, so streaming and
+    offline outputs stay identical.
 
     After :meth:`predict`, the attributes ``v``/``theta``/``p11``/``p12``/
     ``p22`` hold the predicted state and covariance and ``b``/``c``/``d``
-    hold this tick's Jacobian entries (``F = [[1, b], [c, d]]``) — exactly
-    the history the RTS backward pass needs. :meth:`update` folds in one
+    hold this tick's Jacobian entries (``F = [[1, b], [c, d]]``) — the
+    per-tick columns the RTS backward pass reads. :meth:`update` folds in one
     velocity measurement and returns the innovation.
     """
 
@@ -298,32 +297,39 @@ def measurements_on_timebase(
     return z
 
 
+#: One GPS-denied plan event: ``(tick, kind, z, r)``. ``kind`` is ``"map"``
+#: (fuse gradient ``z`` with variance ``r``) or ``"inflate"`` (scale the
+#: covariance at reacquisition; ``z`` and ``r`` unused).
+_PlanEvent = tuple[int, str, float, float]
+
+
 def _gps_denied_plan(
     z: np.ndarray,
     dt: float,
     s: np.ndarray,
     gps_denied,
     prior_map,
-) -> dict[int, tuple] | None:
-    """Per-tick GPS-denied actions for the offline engine, or ``None``.
+) -> list[_PlanEvent] | None:
+    """GPS-denied events for the offline engine, sorted by tick, or ``None``.
 
     Measurement outages longer than ``outage_enter_ticks`` get (a)
     prior-map gradient updates every ``map_update_interval_ticks`` once
     the dead-reckoning threshold passes — fused with noise widened by the
     position drift a streaming deployment would have accumulated by then —
     and (b) one covariance inflation at the reacquisition tick (the first
-    measurement after the outage). Returns ``{tick: ("map", theta, r)}``
-    and ``{tick: ("inflate",)}`` entries; ``None`` when nothing applies.
+    measurement after the outage). Outages are visited in order and each
+    one's map ticks lie before its reacquisition tick, so the events come
+    out sorted with distinct ticks; ``None`` when nothing applies.
     """
     pm = prior_map
     if pm is None and gps_denied.prior_map is not None:
         pm = gps_denied.prior_map.build()
     fuse_map = gps_denied.use_prior_map and pm is not None
     bad = ~np.isfinite(z)
-    plan: dict[int, tuple] = {}
+    plan: list[_PlanEvent] = []
     edges = np.flatnonzero(
         np.diff(np.concatenate(([False], bad, [False])).astype(int))
-    )
+    ).tolist()
     q_s = gps_denied.dead_reckoning.position_rate_std**2
     for start, end in zip(edges[0::2], edges[1::2]):
         if end - start < gps_denied.outage_enter_ticks:
@@ -335,10 +341,209 @@ def _gps_denied_plan(
                 # deployment localizes by dead reckoning; model its drift
                 # so the map update's trust matches the streaming path.
                 s_var = q_s * (i - start) * dt
-                plan[i] = ("map", *pm.measurement(float(s[i]), s_var))
+                plan.append((i, "map", *pm.measurement(float(s[i]), s_var)))
         if end < len(z):
-            plan[end] = ("inflate",)
+            plan.append((end, "inflate", 0.0, 0.0))
     return plan or None
+
+
+class _History(NamedTuple):
+    """Forward-pass columns the RTS backward sweep reads, one list each.
+
+    The predicted state, covariance and Jacobian entries
+    (``F = [[1, b], [c, d]]``) per tick, plus the filtered ``p11``/``p12``;
+    the filtered ``v``, ``theta`` and ``p22`` are the forward outputs.
+    """
+
+    v: list[float]
+    theta: list[float]
+    p11: list[float]
+    p12: list[float]
+    p22: list[float]
+    b: list[float]
+    c: list[float]
+    d: list[float]
+    p11_filt: list[float]
+    p12_filt: list[float]
+
+
+class _Forward(NamedTuple):
+    """What :func:`_forward_pass` returns: per-tick filtered outputs, the
+    innovations and their variances (update ticks only), the smoothing
+    history (``None`` unless asked for) and the plan's event counts."""
+
+    theta: list[float]
+    var: list[float]
+    v: list[float]
+    innovations: list[float]
+    inno_var: list[float]
+    history: _History | None
+    map_updates: int
+    inflations: int
+
+
+def _forward_pass(
+    core: GradientFilterCore,
+    a_list: list[float],
+    z_list: list[float],
+    events: list[_PlanEvent] | None = None,
+    inflation: float = 1.0,
+    smooth: bool = False,
+) -> _Forward:
+    """Run the filter over a whole track on Python locals.
+
+    Each tick does what driving ``core`` would:
+    :meth:`~GradientFilterCore.inflate` on an ``"inflate"`` event, then
+    :meth:`~GradientFilterCore.predict`, then
+    :meth:`~GradientFilterCore.update` when ``z`` is not NaN or else
+    :meth:`~GradientFilterCore.update_theta` on a ``"map"`` event. The
+    arithmetic is copied from those methods operation for operation, so
+    the result is bit-identical to the method loop
+    (``tests/core/test_forward_pass.py`` pins it) without paying for two
+    calls and ~30 attribute reads and writes per tick. ``core`` supplies
+    the constants and the initial state and receives the final state.
+    ``events`` must be sorted by tick (see :func:`_gps_denied_plan`).
+    """
+    dt = core.dt
+    specific_force = core.specific_force
+    cdt = core.cdt
+    neg_g_dt = core.neg_g_dt
+    q_v = core.q_v
+    q_t = core.q_t
+    r = core.r
+    clamp = core.theta_clamp
+    neg_clamp = -clamp
+    g = GRAVITY
+    sin = math.sin
+    cos = math.cos
+    v, theta = core.v, core.theta
+    p11, p12, p22 = core.p11, core.p12, core.p22
+    b, c, d = core.b, core.c, core.d
+
+    theta_out: list[float] = []
+    var_out: list[float] = []
+    v_out: list[float] = []
+    innovations: list[float] = []
+    inno_var: list[float] = []  # S = p11 + r at each update
+    theta_app = theta_out.append
+    var_app = var_out.append
+    v_app = v_out.append
+    inno_app = innovations.append
+    s_app = inno_var.append
+    history: _History | None = None
+    if smooth:
+        history = _History(*([] for _ in _History._fields))
+        (
+            hv_app, ht_app, h11_app, h12_app, h22_app,
+            hb_app, hc_app, hd_app, f11_app, f12_app,
+        ) = [col.append for col in history]
+
+    events = events or []
+    n_events = len(events)
+    ev_k = 0
+    ev_tick = events[0][0] if n_events else -1
+    ev_z = ev_r = 0.0
+    map_tick = -1  # the tick whose map event (ev_z, ev_r) is pending
+    n_map_updates = 0
+    n_inflations = 0
+
+    for i, a, zi in zip(itertools.count(), a_list, z_list):
+        if i == ev_tick:
+            _, kind, ev_z, ev_r = events[ev_k]
+            ev_k += 1
+            ev_tick = events[ev_k][0] if ev_k < n_events else -1
+            if kind == "inflate":
+                # Reacquisition: inflate *before* this tick's predict so
+                # the first post-outage update sees an honestly uncertain
+                # prior.
+                p11 *= inflation
+                p12 *= inflation
+                p22 *= inflation
+                n_inflations += 1
+            else:
+                map_tick = i
+
+        # Predict (GradientFilterCore.predict).
+        sin_t = sin(theta)
+        cos_t = cos(theta)
+        if cos_t < 1e-6:
+            cos_t = 1e-6
+        if specific_force:
+            a_long = a - sin_t * g
+            b = neg_g_dt * cos_t
+            slope = a_long * sin_t / (cos_t * cos_t) - g
+        else:
+            a_long = a
+            b = 0.0
+            slope = a_long * sin_t / (cos_t * cos_t)
+        cdt_v = cdt * v
+        d = cdt_v * slope + 1.0
+        c = cdt * a_long / cos_t
+        v = v + a_long * dt
+        if v < 0.0:
+            v = 0.0
+        theta = theta + cdt_v * a_long / cos_t
+        if theta > clamp:
+            theta = clamp
+        elif theta < neg_clamp:
+            theta = neg_clamp
+        p11, p12, p22 = (
+            p11 + b * p12 + (p12 + b * p22) * b + q_v,
+            c * p11 + (b * c + d) * p12 + b * d * p22,
+            c * (c * p11) + c * d * p12 * 2.0 + d * d * p22 + q_t,
+        )
+        if smooth:
+            hv_app(v)
+            ht_app(theta)
+            h11_app(p11)
+            h12_app(p12)
+            h22_app(p22)
+            hb_app(b)
+            hc_app(c)
+            hd_app(d)
+
+        if zi == zi:  # not NaN: GradientFilterCore.update
+            s_inno = p11 + r
+            k1 = p11 / s_inno
+            k2 = p12 / s_inno
+            inno = zi - v
+            v += k1 * inno
+            theta += k2 * inno
+            one_m = 1.0 - k1
+            p22 = p22 - k2 * p12
+            p12 = one_m * p12
+            p11 = one_m * p11
+            s_app(s_inno)
+            inno_app(inno)
+        elif i == map_tick:
+            # GPS-denied: fuse the prior-map gradient at this tick's
+            # estimated arc length (GradientFilterCore.update_theta).
+            s_inno = p22 + ev_r
+            k1 = p12 / s_inno
+            k2 = p22 / s_inno
+            inno = ev_z - theta
+            v += k1 * inno
+            theta += k2 * inno
+            one_m = 1.0 - k2
+            p11 = p11 - k1 * p12
+            p12 = one_m * p12
+            p22 = one_m * p22
+            n_map_updates += 1
+
+        theta_app(theta)
+        var_app(p22)
+        v_app(v)
+        if smooth:
+            f11_app(p11)
+            f12_app(p12)
+
+    core.v, core.theta = v, theta
+    core.p11, core.p12, core.p22 = p11, p12, p22
+    core.b, core.c, core.d = b, c, d
+    return _Forward(
+        theta_out, var_out, v_out, innovations, inno_var, history,
+        n_map_updates, n_inflations,
+    )
 
 
 def estimate_track(
@@ -390,98 +595,46 @@ def estimate_track(
 
     dt = float(np.median(np.diff(t)))
     z = measurements_on_timebase(t, velocity)
+    updated = np.isfinite(z)
     tel = telemetry if telemetry is not None and telemetry.active else None
     if tel is not None:
         dropped = int(np.count_nonzero(~(velocity.valid & np.isfinite(velocity.values))))
         tel.count("samples_dropped", dropped)
         tel.count("ekf_ticks", n)
-        tel.count("ekf_updates", int(np.count_nonzero(np.isfinite(z))))
+        tel.count("ekf_updates", int(np.count_nonzero(updated)))
     r_std = cfg.std_for(velocity.name)
 
-    # Initial state: first available measurement, flat road prior.
-    first = np.flatnonzero(np.isfinite(z))
-    v0 = float(z[first[0]]) if len(first) else float(np.nanmax([accel.values[0], 0.0]))
+    # Initial state: first measurement (measurements_on_timebase raised if
+    # there is none), flat road prior.
+    v0 = float(z[np.argmax(updated)])
     core = GradientFilterCore(
         dt, vehicle=vehicle, config=cfg, measurement_std=r_std, v0=v0
     )
 
     gd_plan = None
-    n_map_updates = 0
-    n_inflations = 0
+    inflation = 1.0
     if gps_denied is not None and gps_denied.enabled:
         gd_plan = _gps_denied_plan(z, dt, s, gps_denied, prior_map)
         inflation = gps_denied.reacquire_inflation
 
-    # The loop runs on plain Python floats: tolist() unboxes the inputs
-    # once, so no tick touches numpy, and outputs collect in lists.
-    a_list = accel.values.tolist()
-    z_list = z.tolist()
-    predict = core.predict
-    update = core.update
-    r = core.r
-    theta_out: list[float] = []
-    var_out: list[float] = []
-    v_out: list[float] = []
-    innovations: list[float] = []
-    inno_var: list[float] = []  # S = p11 + r before each update
-    do_smooth = cfg.smooth
-    # Forward-pass history for the RTS backward sweep: the predicted
-    # (v, theta, p11, p12, p22, b, c, d) and filtered (v, theta, p11, p12,
-    # p22) rows per tick; F = [[1, b], [c, d]].
-    hist_pred: list[tuple] = []
-    hist_filt: list[tuple] = []
-
-    for i, (a, zi) in enumerate(zip(a_list, z_list)):
-        gd_act = gd_plan.get(i) if gd_plan is not None else None
-        if gd_act is not None and gd_act[0] == "inflate":
-            # Reacquisition: inflate *before* this tick's predict so
-            # the first post-outage update sees an honestly uncertain
-            # prior.
-            core.inflate(inflation)
-            n_inflations += 1
-
-        predict(a)
-        if do_smooth:
-            hist_pred.append(
-                (core.v, core.theta, core.p11, core.p12, core.p22,
-                 core.b, core.c, core.d)
-            )
-
-        if zi == zi:  # not NaN
-            inno_var.append(core.p11 + r)
-            innovations.append(update(zi))
-        elif gd_act is not None and gd_act[0] == "map":
-            # GPS-denied: fuse the prior-map gradient at this tick's
-            # estimated arc length (the tick itself has no velocity
-            # measurement, so the two updates never collide).
-            core.update_theta(gd_act[1], gd_act[2])
-            n_map_updates += 1
-
-        theta_out.append(core.theta)
-        var_out.append(core.p22)
-        v_out.append(core.v)
-        if do_smooth:
-            hist_filt.append((core.v, core.theta, core.p11, core.p12, core.p22))
-
-    theta_arr = np.array(theta_out, dtype=float)
-    var_arr = np.array(var_out, dtype=float)
-    v_arr = np.array(v_out, dtype=float)
-    if do_smooth:
-        pred = np.array(hist_pred)
-        filt = np.array(hist_filt)
-        _rts_backward(
-            pred[:, 0:2], pred[:, 2:5], filt[:, 0:2], filt[:, 2:5], pred[:, 5:8],
-            theta_arr, var_arr, v_arr,
-        )
+    # tolist() unboxes the inputs once, so no tick touches numpy.
+    fwd = _forward_pass(
+        core, accel.values.tolist(), z.tolist(), gd_plan, inflation, cfg.smooth
+    )
+    if fwd.history is not None:
+        _rts_backward(fwd.history, fwd.theta, fwd.var, fwd.v)
+    theta_arr = np.array(fwd.theta, dtype=float)
+    var_arr = np.array(fwd.var, dtype=float)
+    v_arr = np.array(fwd.v, dtype=float)
 
     if tel is not None:
-        if innovations:
-            tel.observe_many("ekf_innovation_abs", np.abs(innovations))
+        if fwd.innovations:
+            tel.observe_many("ekf_innovation_abs", np.abs(fwd.innovations))
         tel.gauge("ekf.final_theta_variance", float(var_arr[-1]))
-        if n_map_updates:
-            tel.count("ekf.map_updates", n_map_updates)
-        if n_inflations:
-            tel.count("ekf.covariance_reset", n_inflations)
+        if fwd.map_updates:
+            tel.count("ekf.map_updates", fwd.map_updates)
+        if fwd.inflations:
+            tel.count("ekf.covariance_reset", fwd.inflations)
 
     track_name = name or velocity.name
     if monitor is not None:
@@ -489,9 +642,9 @@ def estimate_track(
             track_name,
             theta_arr,
             var_arr,
-            innovations=np.array(innovations),
-            s=np.array(inno_var),
-            update_ticks=np.flatnonzero(np.isfinite(z)),
+            innovations=np.array(fwd.innovations),
+            s=np.array(fwd.inno_var),
+            update_ticks=np.flatnonzero(updated),
             dt=dt,
             n_ticks=n,
             final_cov=(core.p11, core.p12, core.p22),
@@ -505,8 +658,8 @@ def estimate_track(
     }
     if gd_plan is not None:
         meta["gps_denied"] = {
-            "map_updates": n_map_updates,
-            "reacquisitions": n_inflations,
+            "map_updates": fwd.map_updates,
+            "reacquisitions": fwd.inflations,
         }
     return GradientTrack(
         name=track_name,
@@ -520,37 +673,35 @@ def estimate_track(
 
 
 def _rts_backward(
-    xp: np.ndarray,
-    pp: np.ndarray,
-    xf: np.ndarray,
-    pf: np.ndarray,
-    f_entries: np.ndarray,
-    theta_out: np.ndarray,
-    var_out: np.ndarray,
-    v_out: np.ndarray,
+    hist: _History,
+    theta_out: list[float],
+    var_out: list[float],
+    v_out: list[float],
 ) -> None:
     """Rauch-Tung-Striebel backward pass for the scalar 2-state filter.
 
-    Overwrites the output arrays in place with the smoothed estimates.
-    ``C_k = P_k^f F_{k+1}^T (P_{k+1}^pred)^{-1}``; the 2x2 inverse is done
-    in closed form.
+    ``theta_out``/``var_out``/``v_out`` hold the filtered estimates on
+    entry and are overwritten in place with the smoothed ones (index ``k``
+    is read before it is written). ``C_k = P_k^f F_{k+1}^T
+    (P_{k+1}^pred)^{-1}``; the 2x2 inverse is done in closed form.
     """
+    xp_v, xp_t, pp11_l, pp12_l, pp22_l, b_l, c_l, d_l, pf11_l, pf12_l = hist
     n = len(theta_out)
-    xs_v, xs_t = xf[n - 1]
-    ps11, ps12, ps22 = pf[n - 1]
-    v_out[n - 1], theta_out[n - 1] = xs_v, xs_t
+    xs_v, xs_t = v_out[n - 1], theta_out[n - 1]
+    ps11, ps12, ps22 = pf11_l[n - 1], pf12_l[n - 1], var_out[n - 1]
     var_out[n - 1] = max(ps22, 1e-14)
     for k in range(n - 2, -1, -1):
-        b, c, d = f_entries[k + 1]
-        pf11, pf12, pf22 = pf[k]
-        pp11, pp12, pp22 = pp[k + 1]
+        j = k + 1
+        pf11, pf12, pf22 = pf11_l[k], pf12_l[k], var_out[k]
+        pp11, pp12, pp22 = pp11_l[j], pp12_l[j], pp22_l[j]
         det = pp11 * pp22 - pp12 * pp12
         if det <= 1e-18:
-            v_out[k], theta_out[k] = xf[k]
+            # Filtered values stand; only the variance floor applies.
+            xs_v, xs_t = v_out[k], theta_out[k]
             var_out[k] = max(pf22, 1e-14)
-            xs_v, xs_t = xf[k]
-            ps11, ps12, ps22 = pf[k]
+            ps11, ps12, ps22 = pf11, pf12, pf22
             continue
+        b, c, d = b_l[j], c_l[j], d_l[j]
         i11 = pp22 / det
         i12 = -pp12 / det
         i22 = pp11 / det
@@ -564,10 +715,10 @@ def _rts_backward(
         c12 = a11 * i12 + a12 * i22
         c21 = a21 * i11 + a22 * i12
         c22 = a21 * i12 + a22 * i22
-        dv = xs_v - xp[k + 1, 0]
-        dt_ = xs_t - xp[k + 1, 1]
-        xs_v = xf[k, 0] + c11 * dv + c12 * dt_
-        xs_t = xf[k, 1] + c21 * dv + c22 * dt_
+        dv = xs_v - xp_v[j]
+        dt_ = xs_t - xp_t[j]
+        xs_v = v_out[k] + c11 * dv + c12 * dt_
+        xs_t = theta_out[k] + c21 * dv + c22 * dt_
         # P_s = P_f + C (P_s' - P_pred) C^T.
         d11 = ps11 - pp11
         d12 = ps12 - pp12
@@ -582,57 +733,3 @@ def _rts_backward(
         v_out[k] = xs_v
         theta_out[k] = xs_t
         var_out[k] = max(ps22, 1e-14)
-
-
-def estimate_track_generic(
-    accel: SampledSignal,
-    velocity: SampledSignal,
-    s: np.ndarray,
-    vehicle: VehicleParams | None = None,
-    config: GradientEKFConfig | None = None,
-    name: str | None = None,
-) -> GradientTrack:
-    """Reference engine: the same model through the generic EKF class."""
-    vehicle = vehicle or DEFAULT_VEHICLE
-    cfg = config or GradientEKFConfig()
-    t = accel.t
-    n = len(t)
-    if n < 2:
-        raise EstimationError("gradient estimation needs at least two samples")
-    dt = float(np.median(np.diff(t)))
-    model_space = GradientStateSpace(vehicle=vehicle, dt=dt, process=cfg.process)
-    r = np.array([[cfg.std_for(velocity.name) ** 2]])
-    q = np.diag([(cfg.accel_noise_std * dt) ** 2, cfg.grade_rate_std**2 * dt])
-    model = EKFModel(
-        f=model_space.f,
-        f_jacobian=model_space.f_jacobian,
-        h=model_space.h,
-        h_jacobian=model_space.h_jacobian,
-        q=q,
-        r=r,
-    )
-    z = measurements_on_timebase(t, velocity)
-    first = np.flatnonzero(np.isfinite(z))
-    v0 = float(z[first[0]]) if len(first) else 0.0
-    ekf = ExtendedKalmanFilter(
-        model,
-        x0=np.array([v0, 0.0]),
-        p0=np.diag([cfg.initial_speed_std**2, cfg.initial_grade_std**2]),
-    )
-    theta_out = np.empty(n)
-    var_out = np.empty(n)
-    v_out = np.empty(n)
-    for i in range(n):
-        zi = z[i]
-        ekf.step(None if not np.isfinite(zi) else zi, u=np.array([accel.values[i]]))
-        v_out[i], theta_out[i] = ekf.x
-        var_out[i] = ekf.variance_of(1)
-    return GradientTrack(
-        name=name or velocity.name,
-        t=t.copy(),
-        s=np.asarray(s, dtype=float).copy(),
-        theta=theta_out,
-        variance=var_out,
-        v=v_out,
-        meta={"process": cfg.process, "engine": "generic"},
-    )

@@ -11,11 +11,12 @@ API:
         state = est.push(accel_sample, v_meas_or_None)
         state.theta        # current gradient estimate [rad]
 
-Because the predict/update math lives only in ``GradientFilterCore`` —
-the same object :func:`repro.core.gradient_ekf.estimate_track` drives
-offline — the streaming path is bit-identical to the offline scalar
-engine by construction; a unit test still pins the two to identical
-outputs on real recordings.
+The offline engine (:func:`repro.core.gradient_ekf.estimate_track`) runs
+the same arithmetic inlined over a whole track rather than calling the
+core per tick; a property test pins that forward pass bit for bit to a
+loop over ``GradientFilterCore``, and unit tests pin ``push`` to the
+offline outputs on real recordings, so the streaming path and the offline
+scalar engine stay bit-identical.
 
 GPS-denied operation
 --------------------

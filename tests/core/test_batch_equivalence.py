@@ -28,7 +28,7 @@ from repro.core.gradient_ekf import GradientEKFConfig, estimate_track
 from repro.core.lane_change.detector import LaneChangeDetectorConfig
 from repro.core.lane_change.features import LaneChangeThresholds
 from repro.core.pipeline import GradientEstimationSystem, GradientSystemConfig
-from repro.errors import EstimationError
+from repro.errors import DegradedInputError, EstimationError
 from repro.obs import Telemetry
 from repro.obs.health import HealthMonitor
 from repro.roads import SectionSpec, build_profile
@@ -216,9 +216,8 @@ class TestDirectEquivalence:
         _assert_tracks_equal(routed, _scalar(accels, velocities, arcs, config=cfg))
 
     def test_bootstrap_without_finite_measurements_matches(self, force_kernel):
-        # A velocity source that never reports forces the accel-based v0
-        # bootstrap path; estimate_track raises in that case and so must
-        # both kernels.
+        # A velocity source that never reports leaves no first measurement
+        # to start v from; estimate_track raises and so must both kernels.
         a, v, s = _synthetic_track(400, 0.02, seed=11)
         v.values[:] = np.nan
         v.valid[:] = False
@@ -228,6 +227,21 @@ class TestDirectEquivalence:
             force_kernel(kernel)
             with pytest.raises(EstimationError):
                 estimate_tracks_batch([a], [v], [s])
+
+    @pytest.mark.parametrize("n_tracks", [4, 32])
+    def test_source_without_valid_samples_raises_degraded(self, n_tracks):
+        # One dead source in an otherwise healthy call raises the
+        # degraded-input error on the natural route at either width (4
+        # tracks run the scalar core, 32 the vectorized loop).
+        inputs = [_synthetic_track(300, 0.02, seed=k) for k in range(n_tracks)]
+        accels, velocities, arcs = (list(col) for col in zip(*inputs))
+        dead = velocities[-1]
+        velocities[-1] = SampledSignal(
+            t=dead.t, values=dead.values, valid=np.zeros(len(dead.t), bool),
+            name=dead.name,
+        )
+        with pytest.raises(DegradedInputError, match="no valid samples"):
+            estimate_tracks_batch(accels, velocities, arcs)
 
     def test_length_mismatch_rejected(self):
         a, v, s = _synthetic_track(400, 0.02, seed=0)

@@ -4,14 +4,67 @@ import numpy as np
 import pytest
 
 from repro.constants import GRAVITY
+from repro.core.ekf import EKFModel, ExtendedKalmanFilter
 from repro.core.gradient_ekf import (
     GradientEKFConfig,
     estimate_track,
-    estimate_track_generic,
     measurements_on_timebase,
 )
+from repro.core.state_space import GradientStateSpace
+from repro.core.track import GradientTrack
 from repro.errors import EstimationError
 from repro.sensors.base import SampledSignal
+from repro.vehicle.params import DEFAULT_VEHICLE
+
+
+def estimate_track_generic(accel, vel, s, vehicle=None, config=None):
+    """Oracle: the same model through the generic EKF class, step by step.
+
+    Slow, but written from the state-space model
+    (:class:`~repro.core.state_space.GradientStateSpace`) rather than from
+    the hand-specialized scalar equations, so agreement with
+    :func:`estimate_track` checks the specialization itself.
+    """
+    vehicle = vehicle or DEFAULT_VEHICLE
+    cfg = config or GradientEKFConfig()
+    t = accel.t
+    n = len(t)
+    dt = float(np.median(np.diff(t)))
+    model_space = GradientStateSpace(vehicle=vehicle, dt=dt, process=cfg.process)
+    r = np.array([[cfg.std_for(vel.name) ** 2]])
+    q = np.diag([(cfg.accel_noise_std * dt) ** 2, cfg.grade_rate_std**2 * dt])
+    model = EKFModel(
+        f=model_space.f,
+        f_jacobian=model_space.f_jacobian,
+        h=model_space.h,
+        h_jacobian=model_space.h_jacobian,
+        q=q,
+        r=r,
+    )
+    z = measurements_on_timebase(t, vel)
+    v0 = float(z[np.flatnonzero(np.isfinite(z))[0]])
+    ekf = ExtendedKalmanFilter(
+        model,
+        x0=np.array([v0, 0.0]),
+        p0=np.diag([cfg.initial_speed_std**2, cfg.initial_grade_std**2]),
+    )
+    theta_out = np.empty(n)
+    var_out = np.empty(n)
+    v_out = np.empty(n)
+    for i in range(n):
+        zi = z[i]
+        ekf.step(None if not np.isfinite(zi) else zi, u=np.array([accel.values[i]]))
+        v_out[i], theta_out[i] = ekf.x
+        var_out[i] = ekf.variance_of(1)
+    return GradientTrack(
+        name=vel.name,
+        t=t.copy(),
+        s=np.asarray(s, dtype=float).copy(),
+        theta=theta_out,
+        variance=var_out,
+        v=v_out,
+        meta={"process": cfg.process, "engine": "generic"},
+    )
 
 
 def synthetic_signals(theta=0.04, v0=12.0, n=4000, dt=0.02, noise=0.0, seed=0):
