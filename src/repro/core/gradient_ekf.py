@@ -16,7 +16,9 @@ call, driven sample by sample on the phone
 arithmetic operation for operation onto Python locals (the inputs are
 unboxed with ``tolist()`` once) so a tick pays for no method calls,
 attribute traffic or numpy scalars; the RTS backward pass
-(:func:`_rts_backward`) runs on plain floats the same way.
+(:func:`_rts_backward`) runs on plain floats the same way. The streaming
+replay (:meth:`~repro.core.online.StreamingGradientEstimator.run`) runs
+its nominal stretches through the same forward pass.
 ``tests/core/test_forward_pass.py`` pins the forward pass bit for bit to a
 loop over the core, so the two spellings cannot drift apart. The
 vectorized kernel in :mod:`repro.core.batch` writes the same equations
@@ -102,11 +104,14 @@ class GradientFilterCore:
     The streaming tick of the paper's per-track filter (Eq 4/5 prediction,
     H = [1, 0] velocity update): the on-phone estimator
     (:class:`~repro.core.online.StreamingGradientEstimator`) drives it one
-    sample at a time. The offline engine (:func:`estimate_track`) reads
-    its constants and initial state and runs the same arithmetic inlined
-    over a whole track (:func:`_forward_pass`), writing the final state
-    back; a property test pins the two bit for bit, so streaming and
-    offline outputs stay identical.
+    sample at a time. :func:`_forward_pass` reads its constants and
+    current state and runs the same arithmetic inlined over many ticks,
+    writing the final state back. It has two callers: the offline engine
+    (:func:`estimate_track`, a whole track) and the streaming replay
+    (:meth:`~repro.core.online.StreamingGradientEstimator.run`, each
+    nominal stretch between outages). A property test pins the forward
+    pass bit for bit to a loop over the core, so streaming and offline
+    outputs stay identical.
 
     After :meth:`predict`, the attributes ``v``/``theta``/``p11``/``p12``/
     ``p22`` hold the predicted state and covariance and ``b``/``c``/``d``
@@ -403,6 +408,12 @@ def _forward_pass(
     calls and ~30 attribute reads and writes per tick. ``core`` supplies
     the constants and the initial state and receives the final state.
     ``events`` must be sorted by tick (see :func:`_gps_denied_plan`).
+
+    Two callers: :func:`estimate_track` runs a whole track from a fresh
+    core, and the streaming replay
+    (:meth:`~repro.core.online.StreamingGradientEstimator.run`) runs each
+    nominal stretch from the streaming core's current state, without
+    events.
     """
     dt = core.dt
     specific_force = core.specific_force

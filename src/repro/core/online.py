@@ -18,6 +18,15 @@ loop over ``GradientFilterCore``, and unit tests pin ``push`` to the
 offline outputs on real recordings, so the streaming path and the offline
 scalar engine stay bit-identical.
 
+The replay API, :meth:`StreamingGradientEstimator.run`, uses both: it is a
+segment loop that hands each *nominal stretch* (bootstrapped filter, no
+health monitor, mode ``nominal``) to that offline forward pass in one call
+and advances the clock, distance, dry count and counters in bulk. Only the
+ticks around outages -- bootstrap, the outage modes, transitions, ticks
+with non-finite input -- and monitored replays run through the per-tick
+mode machine. ``tests/core/test_stream_replay.py`` pins ``run`` to a
+``push`` loop bit for bit, state and telemetry included.
+
 GPS-denied operation
 --------------------
 With a :class:`~repro.core.dead_reckoning.GPSDeniedConfig` enabled, the
@@ -44,8 +53,11 @@ to the historical estimator.
 
 from __future__ import annotations
 
+import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,7 +65,7 @@ from ..errors import EstimationError
 from ..obs import Telemetry
 from ..vehicle.params import VehicleParams
 from .dead_reckoning import DeadReckoner, GPSDeniedConfig
-from .gradient_ekf import GradientEKFConfig, GradientFilterCore
+from .gradient_ekf import GradientEKFConfig, GradientFilterCore, _forward_pass
 
 __all__ = ["MODE_NAMES", "StreamState", "StreamingGradientEstimator"]
 
@@ -108,6 +120,7 @@ class StreamingGradientEstimator:
         self._need_init = v0 is None
         self._t = 0.0
         self._ticks = 0
+        self._updated = False  # whether the last tick fused a measurement
 
         # Divergence recovery: remember the last finite state and the
         # initial covariance so a non-finite tick (NaN accel burst, Inf
@@ -228,7 +241,7 @@ class StreamingGradientEstimator:
             v=core.v,
             theta=core.theta,
             theta_variance=core.p22,
-            updated=False,
+            updated=self._updated,
             mode=MODE_NAMES[self._mode],
         )
 
@@ -272,11 +285,11 @@ class StreamingGradientEstimator:
         gyro: float = 0.0,
         fix_quality: float | None = None,
     ) -> bool:
-        """One filter tick without building a snapshot (the hot inner loop).
+        """One filter tick without building a snapshot.
 
         All per-tick state lives on the estimator and the filter core, so a
-        caller that reads the core directly (:meth:`run`) pays zero heap
-        allocations per sample.
+        caller that reads the core directly (:meth:`run`'s per-tick
+        fallback) pays zero heap allocations per sample.
         """
         core = self._core
         if v_meas is not None and v_meas != v_meas:  # NaN: no measurement
@@ -299,6 +312,7 @@ class StreamingGradientEstimator:
             else:
                 core.update(float(v_meas))
             updated = True
+        self._updated = updated
 
         if self._gd is not None:
             self._gd_track(gyro)
@@ -502,46 +516,203 @@ class StreamingGradientEstimator:
         gyro: np.ndarray | None = None,
         fix_quality: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Convenience: push whole arrays (NaN in ``v_meas`` = no update).
+        """Replay whole arrays (NaN in ``v_meas`` = no update).
 
-        ``gyro`` and ``fix_quality`` are optional parallel arrays for
+        ``gyro`` and ``fix_quality`` are optional parallel 1-D arrays for
         GPS-denied operation (NaN quality = nominal). Returns the theta
-        series. Per tick this allocates nothing: the inputs are unboxed to
-        plain floats once up front, each tick runs through :meth:`_tick`
-        (no :class:`StreamState` snapshots), and thetas are written
-        straight into the preallocated output array — bit-identical to an
-        equivalent :meth:`push` loop, which a unit test pins.
+        series, bit-identical to an equivalent :meth:`push` loop (unit
+        tests, a property test and golden replays pin it).
+
+        The replay is a segment loop. A *nominal stretch* -- the filter is
+        bootstrapped, no health monitor is attached and the mode is
+        ``nominal`` -- runs in one go through the offline forward pass
+        (:func:`~repro.core.gradient_ekf._forward_pass`) on the effective
+        measurements (NaN where a fix is missing or unusable by quality).
+        It ends before the tick whose dry count would enter an outage and
+        before any tick with a non-finite input; the clock, tick count,
+        along-track distance, dry count and telemetry counters then
+        advance in bulk. Every other tick -- bootstrap, the outage modes,
+        transitions, monitored replays -- goes through :meth:`_tick`. A
+        stretch whose outputs turn non-finite is rolled back and replayed
+        through :meth:`_tick`, so divergence recovery is unchanged.
         """
-        accel = np.asarray(accel, dtype=float)
-        v_meas = np.asarray(v_meas, dtype=float)
-        if accel.shape != v_meas.shape:
+        accel = _series(accel, "accel")
+        v_meas = _series(v_meas, "v_meas")
+        n = len(accel)
+        if len(v_meas) != n:
             raise EstimationError("accel and v_meas must match")
         if gyro is not None:
-            gyro = np.asarray(gyro, dtype=float)
-            if gyro.shape != accel.shape:
+            gyro = _series(gyro, "gyro")
+            if len(gyro) != n:
                 raise EstimationError("gyro must match the accel timebase")
         if fix_quality is not None:
-            fix_quality = np.asarray(fix_quality, dtype=float)
-            if fix_quality.shape != accel.shape:
+            fix_quality = _series(fix_quality, "fix_quality")
+            if len(fix_quality) != n:
                 raise EstimationError("fix_quality must match the accel timebase")
-        out = np.empty(len(accel))
+
+        # The measurements a nominal tick fuses: quality only gates fixes
+        # when the mode machine runs.
+        gd = self._gd
+        z_eff = v_meas
+        if gd is not None and fix_quality is not None:
+            z_eff = np.where(fix_quality <= gd.fix_quality_bad, np.nan, v_meas)
+        fixes = np.flatnonzero(~np.isnan(z_eff))
+        plan = _StretchPlan(
+            fixes.tolist(),
+            np.flatnonzero(~np.isfinite(accel) | np.isinf(z_eff)).tolist(),
+            _outage_ticks(fixes, n, gd.outage_enter_ticks) if gd is not None else [],
+        )
+
+        # tolist() unboxes to Python floats in one pass; NaN measurements
+        # are mapped to None inside _tick itself.
+        a_list = accel.tolist()
+        z_list = v_meas.tolist()
+        ze_list = z_eff.tolist()
+        g_list = gyro.tolist() if gyro is not None else [0.0] * n
+        q_list = fix_quality.tolist() if fix_quality is not None else [None] * n
+        out = np.empty(n)
         core = self._core
         tick = self._tick
         i = 0
-        # tolist() unboxes to Python floats in one pass; NaN measurements
-        # are mapped to None inside _tick itself.
-        if gyro is None and fix_quality is None:
-            for a, z in zip(accel.tolist(), v_meas.tolist()):
-                tick(a, z)
-                out[i] = core.theta
-                i += 1
-            return out
-        g_list = gyro.tolist() if gyro is not None else [0.0] * len(accel)
-        q_list = (
-            fix_quality.tolist() if fix_quality is not None else [None] * len(accel)
-        )
-        for a, z, g, q in zip(accel.tolist(), v_meas.tolist(), g_list, q_list):
-            tick(a, z, g, q)
+        slow_until = 0  # end of a stretch rolled back to per-tick replay
+        while i < n:
+            if (
+                i >= slow_until
+                and not self._need_init
+                and self._health is None
+                and self._mode == _NOMINAL
+            ):
+                j = self._nominal_end(i, n, plan)
+                if j > i:
+                    if self._stretch(a_list, ze_list, i, j, plan, out):
+                        i = j
+                        continue
+                    slow_until = j
+            tick(a_list[i], z_list[i], g_list[i], q_list[i])
             out[i] = core.theta
             i += 1
         return out
+
+    def _nominal_end(self, i: int, n: int, plan: _StretchPlan) -> int:
+        """End (exclusive) of the nominal stretch starting at tick ``i``."""
+        k = bisect_left(plan.stops, i)
+        end = plan.stops[k] if k < len(plan.stops) else n
+        gd = self._gd
+        if gd is not None:
+            k = bisect_left(plan.fixes, i)
+            first_fix = plan.fixes[k] if k < len(plan.fixes) else n
+            # The dry spell carried in from earlier ticks enters an outage
+            # before the next fix, or else a later spell does.
+            carried = i + gd.outage_enter_ticks - self._dry_ticks - 1
+            if carried < first_fix:
+                return min(end, carried)
+            k = bisect_left(plan.outages, first_fix)
+            if k < len(plan.outages):
+                end = min(end, plan.outages[k])
+        return end
+
+    def _stretch(
+        self,
+        a_list: list[float],
+        ze_list: list[float],
+        i: int,
+        j: int,
+        plan: _StretchPlan,
+        out: np.ndarray,
+    ) -> bool:
+        """Nominal ticks ``i..j-1`` on the offline forward pass.
+
+        Writes theta into ``out`` and advances the estimator's bookkeeping
+        as ``j - i`` calls of :meth:`_tick` would. Returns False, with the
+        filter state restored, if any output went non-finite.
+        """
+        core = self._core
+        saved = (core.v, core.theta, core.p11, core.p12, core.p22, core.b, core.c, core.d)
+        try:
+            fwd = _forward_pass(core, a_list[i:j], ze_list[i:j])
+        except ValueError:
+            # math.sin(inf): a tick overflowed theta and the pass went on
+            # where _tick would have recovered.
+            fwd = None
+        # A sum is finite only if every term is (overflow merely forces the
+        # safe per-tick replay).
+        if fwd is None or not (
+            math.isfinite(sum(fwd.theta)) and math.isfinite(sum(fwd.v))
+        ):
+            (core.v, core.theta, core.p11, core.p12, core.p22,
+             core.b, core.c, core.d) = saved
+            return False
+        out[i:j] = fwd.theta
+        m = j - i
+        dt = self.dt
+        t = self._t
+        for _ in itertools.repeat(None, m):
+            t += dt
+        self._t = t
+        start = self._ticks
+        self._ticks = start + m
+        self._ok_v = core.v
+        self._ok_theta = core.theta
+        lo = bisect_left(plan.fixes, i)
+        hi = bisect_left(plan.fixes, j)
+        last_fix = plan.fixes[hi - 1] if hi > lo else -1
+        self._updated = last_fix == j - 1
+        if self._gd is not None:
+            s = self._s_est
+            for v in fwd.v:
+                s += v * dt
+            self._s_est = s
+            self._dry_ticks = j - 1 - last_fix if hi > lo else self._dry_ticks + m
+        if self._obs is not None:
+            self._record_stretch(start, out[i:j], fwd.v, hi - lo)
+        return True
+
+    def _record_stretch(
+        self, start: int, theta: np.ndarray, v: list[float], updates: int
+    ) -> None:
+        """:meth:`_record_tick` for a whole finite nominal stretch."""
+        m = len(theta)
+        self._c_ticks.inc(m)
+        self._c_updates.inc(updates)
+        if self._gd is not None:
+            self._c_mode[_NOMINAL].inc(m)
+        clamped = np.flatnonzero(np.abs(theta) >= self._core.theta_clamp)
+        if len(clamped):
+            self._c_clamped.inc(len(clamped))
+            if not self._diverged:
+                self._diverged = True
+                k = int(clamped[0])
+                self._obs.event(
+                    "stream.divergence",
+                    reason="clamp",
+                    tick=start + k + 1,
+                    theta=float(theta[k]),
+                    v=v[k],
+                )
+
+
+class _StretchPlan(NamedTuple):
+    """Where a replay's nominal stretches must end, as sorted tick lists.
+
+    ``fixes`` are the ticks with a usable measurement (they reset the dry
+    count), ``stops`` the ticks with a non-finite accelerometer sample or
+    an infinite measurement, ``outages`` the ticks where a dry spell that
+    began after a fix reaches ``outage_enter_ticks``.
+    """
+
+    fixes: list[int]
+    stops: list[int]
+    outages: list[int]
+
+
+def _outage_ticks(fixes: np.ndarray, n: int, enter: int) -> list[int]:
+    """Ticks where the dry spell after each fix reaches ``enter`` ticks."""
+    following = np.append(fixes[1:], n)
+    return (fixes[following - fixes - 1 >= enter] + enter).tolist()
+
+
+def _series(x, name: str) -> np.ndarray:
+    arr = np.asarray(x, dtype=float)
+    if arr.ndim != 1:
+        raise EstimationError(f"{name} must be a 1-D array, got shape {arr.shape}")
+    return arr

@@ -96,6 +96,34 @@ class TestStreaming:
         with pytest.raises(EstimationError):
             est.run(np.zeros(5), np.zeros(4))
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (np.float64(0.1), np.float64(10.0)),  # 0-d
+            (np.zeros((3, 2)), np.full((3, 2), 10.0)),  # 2-D, equal shapes
+            (np.zeros(6), np.full(6, 10.0), np.zeros((6, 1))),  # 2-D gyro
+            (np.zeros(6), np.full(6, 10.0), None, np.ones((1, 6))),  # 2-D quality
+        ],
+        ids=["0d", "2d", "2d-gyro", "2d-quality"],
+    )
+    def test_run_rejects_non_1d_inputs(self, args):
+        est = StreamingGradientEstimator(dt=0.02, v0=10.0)
+        with pytest.raises(EstimationError, match="1-D"):
+            est.run(*args)
+        assert est.ticks == 0
+
+    def test_state_reports_last_tick_update(self):
+        est = StreamingGradientEstimator(dt=0.02, v0=10.0)
+        assert not est.state.updated
+        est.push(0.1, 10.0)
+        assert est.state.updated
+        est.push(0.1, None)
+        assert not est.state.updated
+        est.run(np.zeros(3), np.array([np.nan, np.nan, 10.0]))
+        assert est.state.updated
+        est.run(np.zeros(3), np.array([10.0, np.nan, np.nan]))
+        assert not est.state.updated
+
 
 class TestStreamingOfflineConsistency:
     """Tick-by-tick push must reproduce the offline pipeline's track.
@@ -152,9 +180,11 @@ class TestRunAllocationFree:
     """run() is the hot array loop: no per-tick snapshots, same bits.
 
     The streaming estimator's allocation story: push() hands back a fresh
-    frozen StreamState per tick (ergonomic), run() goes through _tick()
-    and never builds one (fast). Both must walk the filter through the
-    exact same float operations.
+    frozen StreamState per tick (ergonomic); run() never builds one (fast).
+    It replays nominal stretches on the offline forward pass and falls back
+    to _tick() for bootstrap, outage modes, transitions, non-finite input
+    and monitored replays. Both must walk the filter through the exact
+    same float operations.
     """
 
     def test_run_bit_identical_to_push_loop(self):
