@@ -59,6 +59,8 @@ bench-smoke:
 bench:
 	$(PYTEST) benchmarks/ --benchmark-only -s
 
+# Kernel sweep on uniform traffic and on fleet-shaped mixed-rate traffic
+# (the series that sets BATCH_MIN_TRACKS); appends to BENCH_batch.json.
 bench-batch:
 	$(PYTEST) benchmarks/bench_batch_vs_scalar.py -q -p no:cacheprovider
 	PYTHONPATH=src python benchmarks/bench_batch_vs_scalar.py

@@ -5,7 +5,8 @@ tracks at once — one trip's velocity sources on a phone, or the flattened
 tracks of many trips in the cloud (Sec III-C3). Below
 :data:`BATCH_MIN_TRACKS` tracks it calls the scalar engine
 (:func:`~repro.core.gradient_ekf.estimate_track`, whose forward pass runs
-on Python locals and floats) once per track; at or above it, :func:`_estimate_tracks_vectorized` stacks the tracks into
+on Python locals and floats) once per track; at or above it,
+:func:`_estimate_tracks_vectorized` stacks the tracks into
 ``(tick, track)`` arrays and advances them all per tick with numpy, paying
 the per-tick dispatch cost once instead of N times. The threshold is the
 crossover measured by ``benchmarks/bench_batch_vs_scalar.py``.
@@ -21,13 +22,21 @@ which numpy does not promise on every build and CPU (checked by name in
 
 Tracks may differ in length, timebase and velocity source; the vectorized
 loop pads shorter tracks (zero accel, no measurements) and the padding
-never reaches the output. ``config.smooth=True`` and an enabled GPS-denied
-config always take the scalar engine — the RTS backward pass and the outage
-plan are not vectorized.
+never reaches the output. A track without a measurement at a tick gets an
+infinite measurement variance there, so its gains are 0 and the shared
+update adds exact zeros while its state is finite. A track whose theta or
+v goes non-finite is rerun on the scalar core, so non-finite input gets
+the scalar semantics too, including the ``ValueError`` an overflowing
+track raises; the reruns go before any sink sees a track of the call, so
+a caller may retry the other tracks without double counts.
+``config.smooth=True`` and an enabled GPS-denied config always take the
+scalar engine — the RTS backward pass and the outage plan are not
+vectorized.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Sequence
 
@@ -44,13 +53,14 @@ from .track import GradientTrack
 __all__ = ["BATCH_MIN_TRACKS", "estimate_tracks_batch", "runs_vectorized"]
 
 #: Track count from which :func:`estimate_tracks_batch` uses the vectorized
-#: tick loop instead of looping the scalar engine: the measured crossover
-#: (``benchmarks/bench_batch_vs_scalar.py`` → ``BENCH_batch.json``; on a
-#: 2-CPU x86_64 host, against the locals-only scalar forward pass, the
-#: vectorized kernel ran at 0.94x the scalar engine at 24 tracks, 1.23x
-#: at 32 and 1.97x at 64). One trip's four sources stay scalar; an 8-trip
-#: chunk (32 tracks) runs vectorized.
-BATCH_MIN_TRACKS = 32
+#: tick loop instead of looping the scalar engine: the crossover measured on
+#: mixed-rate traffic shaped like a ``fleet_store`` call
+#: (the ``mixed`` series of ``benchmarks/bench_batch_vs_scalar.py`` →
+#: ``BENCH_batch.json``; two sweeps on a 2-CPU x86_64 host, against the
+#: locals-only scalar forward pass: 0.79-0.80x at 16 tracks, 1.12-1.21x at
+#: 24, 1.42-1.45x at 32 and 2.30-2.31x at 64). One trip's four sources stay
+#: scalar; a chunk of six or more trips runs vectorized.
+BATCH_MIN_TRACKS = 24
 
 
 def runs_vectorized(n_tracks: int, config: GradientEKFConfig, gps_denied=None) -> bool:
@@ -175,7 +185,7 @@ def _estimate_tracks_vectorized(
     dt = np.empty(n_tracks)
     r = np.empty(n_tracks)
     stds: list[float] = []
-    v = np.empty(n_tracks)
+    v0 = np.empty(n_tracks)
     for k in range(n_tracks):
         t_k = accels[k].t
         n_k = len(t_k)
@@ -200,14 +210,7 @@ def _estimate_tracks_vectorized(
         z_k = measurements_on_timebase(ts[k], velocities[k])
         z_in[:n_k, k] = z_k
         # measurements_on_timebase raised if no measurement is valid.
-        v[k] = float(z_k[np.argmax(np.isfinite(z_k))])
-        tel_k = tels[k]
-        if tel_k is not None:
-            vel = velocities[k]
-            dropped = int(np.count_nonzero(~(vel.valid & np.isfinite(vel.values))))
-            tel_k.count("samples_dropped", dropped)
-            tel_k.count("ekf_ticks", int(n_k))
-            tel_k.count("ekf_updates", int(np.count_nonzero(np.isfinite(z_k))))
+        v0[k] = float(z_k[np.argmax(np.isfinite(z_k))])
 
     qa = cfg.accel_noise_std * dt
     q_v = qa * qa  # as the scalar core computes it
@@ -215,23 +218,34 @@ def _estimate_tracks_vectorized(
 
     specific_force = cfg.process == "specific_force"
     drift_coeff = vehicle.drag_term / vehicle.weight
-    g = GRAVITY
     theta_clamp = math.pi / 3.0
-    neg_g_dt = -g * dt  # per-track; b = (-g * dt) * cos(theta)
     cdt = drift_coeff * dt  # per-track; folds dt into the drift terms
 
-    theta = np.zeros(n_tracks)
-    p11 = np.full(n_tracks, cfg.initial_speed_std**2)
-    p12 = np.zeros(n_tracks)
-    p22 = np.full(n_tracks, cfg.initial_grade_std**2)
+    # The loop is numpy-dispatch bound at fleet widths (~0.35 us per ufunc
+    # call on 32 tracks), so each tick is a fixed sequence of ufunc calls
+    # on preallocated length-N rows: every operand is an array (a Python
+    # float operand costs ~0.2 us more), (2, N) stacks of two rows of the
+    # same shape share one call (a broadcast would cost ~4 calls), and the
+    # per-tick rows of the (tick, ...) arrays come from iterating them, not
+    # indexing. DESIGN.md, "Per-tick dispatch budget", has the numbers.
+    def rows(*values) -> np.ndarray:
+        return np.array([np.broadcast_to(x, n_tracks) for x in values], dtype=float)
 
-    theta_out = np.empty((n_max, n_tracks))
+    floor = rows(1e-6)[0]
+    one, two, g_row = rows(1.0, 2.0, GRAVITY)
+    kg = rows(-GRAVITY * dt, GRAVITY)  # [b, sin g] = [cos, sin] * kg
+    x_lo = rows(-theta_clamp, 0.0)  # state clamps on [theta, v]
+    x_hi = rows(theta_clamp, math.inf)
+    q = rows(q_v, q_t)
+
+    # Outputs, time-major; each tick's [theta, v] is one contiguous (2, N)
+    # row so the state prediction and its clamps are one call each.
+    xs_out = np.empty((n_max, 2, n_tracks))
+    theta_out = xs_out[:, 0]
+    v_out = xs_out[:, 1]
     var_out = np.empty((n_max, n_tracks))
-    v_out = np.empty((n_max, n_tracks))
-    inno_out = (
-        np.full((n_max, n_tracks), np.nan) if any_tel or any_mon else None
-    )
-    s_out = np.full((n_max, n_tracks), np.nan) if any_mon else None
+    inno_out = np.empty((n_max, n_tracks)) if any_tel or any_mon else None
+    s_out = np.empty((n_max, n_tracks)) if any_mon else None
     # Padding keeps advancing shorter tracks past their end, so each
     # track's final covariance is captured at its own last tick.
     final_p = np.empty((3, n_tracks))
@@ -241,133 +255,132 @@ def _estimate_tracks_vectorized(
             ends.setdefault(int(lengths[k]) - 1, []).append(k)
 
     # Measurement gating, hoisted out of the loop: which tracks update at
-    # which tick, plus fast per-tick any/all flags.
+    # which tick, a fast per-tick any flag, and the measurement variance
+    # per (tick, track) with +inf where a track holds. A held track's
+    # innovation variance is then inf, so its gains are 0 and its update
+    # adds exact zeros; holes in z become 0 so its innovation stays finite.
     update_mask = np.isfinite(z_in)
-    holds = ~update_mask
+    z_in[~update_mask] = 0.0
+    r_in = np.where(update_mask, r, math.inf)
     row_any = update_mask.any(axis=1).tolist()
-    row_all = update_mask.all(axis=1).tolist()
 
-    # The loop is numpy-dispatch-bound at small N, so every operation runs
-    # in a preallocated scratch buffer (`out=`) and state rows are written
-    # in place into the output arrays; no per-tick allocation happens.
-    sin_t = np.empty(n_tracks)
-    cos_t = np.empty(n_tracks)
-    a_long = np.empty(n_tracks)
-    b = np.zeros(n_tracks)
-    c = np.empty(n_tracks)
-    d = np.empty(n_tracks)
-    drift = np.empty(n_tracks)
-    np11 = np.empty(n_tracks)
-    np12 = np.empty(n_tracks)
-    t1 = np.empty(n_tracks)
-    t2 = np.empty(n_tracks)
-    t3 = np.empty(n_tracks)
-    t4 = np.empty(n_tracks)
-    t5 = np.empty(n_tracks)
-    s_inno = np.empty(n_tracks)
-    k1 = np.empty(n_tracks)
-    k2 = np.empty(n_tracks)
-    inno = np.empty(n_tracks)
-    one_m = np.empty(n_tracks)
+    # Work rows. Stacks: sc = [cos, sin], bg = [b, sin g], dx = [drift,
+    # a_long dt] (the state increment), ap/bp/cp = the three terms of the
+    # covariance sums [p11', p22'], dk = [dtheta, dv] (the update).
+    sc = np.empty((2, n_tracks))
+    cos_t, sin_t = sc
+    bg = np.zeros((2, n_tracks))  # b stays 0 for the kinematic model
+    b, sin_g = bg
+    dx = np.empty((2, n_tracks))
+    drift, a_dt = dx
+    ap = np.empty((2, n_tracks))
+    p11, c2_p11 = ap  # p11 lives in ap[0] between ticks
+    bp = np.empty((2, n_tracks))
+    b_p12, cd2_p12 = bp
+    cp = np.empty((2, n_tracks))
+    bp22_b, dd_p22 = cp
+    pp = np.empty((2, n_tracks))  # predicted [p11', p22']
+    p11_pred, p22_pred = pp
+    dk = np.empty((2, n_tracks))
+    dtheta, dv = dk
+    a_long, slope, cc, cv, c, d, c_p11, t1, t2 = np.empty((9, n_tracks))
+    p12, p12_pred, k1, k2, one_m = np.empty((5, n_tracks))
+    s_scratch, inno_scratch = np.empty((2, n_tracks))
+
+    x = np.stack([np.zeros(n_tracks), v0])  # [theta, v] before the first tick
+    theta, v = x
+    p11[:] = cfg.initial_speed_std**2
+    p12[:] = 0.0
+    p22 = np.full(n_tracks, cfg.initial_grade_std**2)
 
     mul, add, sub, div = np.multiply, np.add, np.subtract, np.divide
-    for i in range(n_max):
-        a_meas = a_in[i]
-        np.sin(theta, out=sin_t)
-        np.cos(theta, out=cos_t)
-        np.maximum(cos_t, 1e-6, out=cos_t)
+    maximum, minimum, sin, cos = np.maximum, np.minimum, np.sin, np.cos
+    s_rows = iter(s_out) if s_out is not None else itertools.repeat(s_scratch)
+    inno_rows = iter(inno_out) if inno_out is not None else itertools.repeat(inno_scratch)
+    ticks = zip(
+        a_in, z_in, r_in, xs_out, theta_out, v_out, var_out, s_rows, inno_rows,
+        row_any,
+    )
+    # Every product is associated exactly as GradientFilterCore.predict and
+    # .update associate it; multiplication and addition are commutative in
+    # IEEE arithmetic, so only the grouping has to match.
+    for i, (a_meas, z, r_row, x_row, theta_row, v_row, p22_row, s_row, inno,
+            upd_any) in enumerate(ticks):
+        sin(theta, sin_t)
+        cos(theta, cos_t)
+        maximum(cos_t, floor, out=cos_t)
         if specific_force:
-            mul(sin_t, g, out=t1)
-            sub(a_meas, t1, out=a_long)  # a_long = a - g sin
-            mul(neg_g_dt, cos_t, out=b)  # b = -g cos dt
-            # ddrift/dtheta * dt = (cdt * v) * (a_long sin / cos^2 - g)
-            mul(a_long, sin_t, out=t2)
-            mul(cos_t, cos_t, out=t3)
-            div(t2, t3, out=t2)
-            sub(t2, g, out=t2)
+            mul(sc, kg, bg)  # b = -g dt cos, sin g
+            sub(a_meas, sin_g, a_long)  # a_long = a - g sin
+            mul(a_long, sin_t, slope)
+            mul(cos_t, cos_t, cc)
+            div(slope, cc, slope)
+            sub(slope, g_row, slope)  # a_long sin / cos^2 - g
         else:
-            a_long = a_meas
-            # b stays 0; ddrift/dtheta * dt = (cdt * v) * (a_long sin / cos^2)
-            mul(a_long, sin_t, out=t2)
-            mul(cos_t, cos_t, out=t3)
-            div(t2, t3, out=t2)
-        mul(cdt, v, out=t4)  # cdt v, shared by d and the drift term
-        mul(t4, t2, out=d)
-        add(d, 1.0, out=d)  # d = 1 + ddrift dt
-        mul(cdt, a_long, out=c)
-        div(c, cos_t, out=c)  # c = cdt a_long / cos
-        mul(t4, a_long, out=drift)
-        div(drift, cos_t, out=drift)  # drift dt = cdt v a_long / cos
+            a_long = a_meas  # b stays 0
+            mul(a_long, sin_t, slope)
+            mul(cos_t, cos_t, cc)
+            div(slope, cc, slope)  # a_long sin / cos^2
+        mul(cdt, v, cv)  # cdt v, shared by d and the drift term
+        mul(cv, slope, d)
+        add(d, one, d)  # d = 1 + ddrift/dtheta dt
+        mul(cdt, a_long, c)
+        div(c, cos_t, c)  # c = cdt a_long / cos
+        mul(cv, a_long, drift)
+        div(drift, cos_t, drift)  # drift dt = cdt v a_long / cos
+        mul(a_long, dt, a_dt)
 
-        # State prediction, written straight into this tick's output rows.
-        v_row = v_out[i]
-        mul(a_long, dt, out=t5)
-        add(v, t5, out=v_row)
-        np.maximum(v_row, 0.0, out=v_row)
-        theta_row = theta_out[i]
-        add(theta, drift, out=theta_row)
-        np.maximum(theta_row, -theta_clamp, out=theta_row)
-        np.minimum(theta_row, theta_clamp, out=theta_row)
-        v = v_row
-        theta = theta_row
+        # State prediction and clamps, straight into this tick's output row.
+        add(x, dx, x_row)
+        maximum(x_row, x_lo, out=x_row)
+        minimum(x_row, x_hi, out=x_row)
+        x, theta, v = x_row, theta_row, v_row
 
-        # Covariance prediction P = F P F^T + Q with F = [[1, b], [c, d]].
-        mul(b, p12, out=t1)  # b p12
-        mul(b, p22, out=t2)  # b p22
-        add(p12, t2, out=t3)
-        mul(t3, b, out=t3)  # b (p12 + b p22)
-        add(p11, t1, out=np11)
-        add(np11, t3, out=np11)
-        add(np11, q_v, out=np11)  # p11'
-        mul(c, p11, out=t4)  # c p11
-        mul(c, t4, out=t5)  # c^2 p11
-        mul(b, c, out=t1)
-        add(t1, d, out=t1)
-        mul(t1, p12, out=t1)  # (d + b c) p12
-        mul(b, d, out=t2)
-        mul(t2, p22, out=t2)  # b d p22
-        add(t4, t1, out=np12)
-        add(np12, t2, out=np12)  # p12'
-        p22_row = var_out[i]
-        mul(c, d, out=t1)
-        mul(t1, p12, out=t1)
-        mul(t1, 2.0, out=t1)  # 2 c d p12
-        mul(d, d, out=t2)
-        mul(t2, p22, out=t2)  # d^2 p22
-        add(t5, t1, out=p22_row)
-        add(p22_row, t2, out=p22_row)
-        add(p22_row, q_t, out=p22_row)  # p22'
-        p11, np11 = np11, p11
-        p12, np12 = np12, p12
+        # Covariance prediction P = F P F^T + Q with F = [[1, b], [c, d]]:
+        # p11' = p11 + b p12 + (p12 + b p22) b + q_v and p22' = c (c p11)
+        # + c d p12 2 + d d p22 + q_t summed as one stack; p12' apart.
+        mul(c, p11, c_p11)
+        mul(c, c_p11, c2_p11)
+        mul(b, p12, b_p12)
+        mul(c, d, t1)
+        mul(t1, p12, t1)
+        mul(t1, two, cd2_p12)
+        mul(b, p22, t2)
+        add(p12, t2, t2)
+        mul(t2, b, bp22_b)
+        mul(d, d, t2)
+        mul(t2, p22, dd_p22)
+        add(ap, bp, pp)
+        add(pp, cp, pp)
+        add(pp, q, pp)
+        mul(b, c, t1)
+        add(t1, d, t1)
+        mul(t1, p12, t1)  # (b c + d) p12
+        mul(b, d, t2)
+        mul(t2, p22, t2)  # b d p22
+        add(c_p11, t1, p12_pred)
+        add(p12_pred, t2, p12_pred)
+
+        # Measurement update with H = [1, 0]; a held track's r is inf, so
+        # one pass serves every tick shape.
+        if upd_any:
+            add(p11_pred, r_row, s_row)
+            div(p11_pred, s_row, k1)
+            div(p12_pred, s_row, k2)
+            sub(z, v, inno)
+            sub(one, k1, one_m)
+            mul(k2, inno, dtheta)
+            mul(k1, inno, dv)
+            add(x, dk, x)
+            mul(k2, p12_pred, t1)
+            sub(p22_pred, t1, p22_row)
+            mul(one_m, p12_pred, p12)
+            mul(one_m, p11_pred, p11)
+        else:
+            p22_row[...] = p22_pred
+            p11[...] = p11_pred
+            p12, p12_pred = p12_pred, p12
         p22 = p22_row
-
-        # Measurement update with H = [1, 0]. Tracks without a fresh
-        # measurement get a neutralized update (gain terms zeroed, Joseph
-        # factor forced to 1) so one vector pass serves every tick shape.
-        if row_any[i]:
-            add(p11, r, out=s_inno)
-            if s_out is not None:
-                s_out[i] = s_inno
-            div(p11, s_inno, out=k1)
-            div(p12, s_inno, out=k2)
-            sub(z_in[i], v, out=inno)
-            if inno_out is not None:
-                inno_out[i] = inno
-            sub(1.0, k1, out=one_m)
-            mul(k1, inno, out=t1)  # dv
-            mul(k2, inno, out=t2)  # dtheta
-            mul(k2, p12, out=t3)  # dp22
-            if not row_all[i]:
-                hold = holds[i]
-                t1[hold] = 0.0
-                t2[hold] = 0.0
-                t3[hold] = 0.0
-                one_m[hold] = 1.0
-            add(v, t1, out=v)
-            add(theta, t2, out=theta)
-            sub(p22, t3, out=p22)
-            mul(p12, one_m, out=p12)
-            mul(p11, one_m, out=p11)
         done = ends.get(i)
         if done is not None:
             final_p[0, done] = p11[done]
@@ -375,20 +388,63 @@ def _estimate_tracks_vectorized(
             final_p[2, done] = p22[done]
 
     # -- unpack per track ---------------------------------------------------
+    # A held track's update adds exact zeros only while its predicted state
+    # is finite; otherwise inf / inf or 0 * inf leaves a NaN theta or v at
+    # that tick.
+    # Such a track is rerun on the scalar core, the reference for
+    # non-finite arithmetic. The reruns go first and without sinks, so a
+    # track the scalar core raises on (e.g. an overflowing accel) raises
+    # here before any sink has seen a track of this call, and the caller
+    # can retry the other tracks in narrower calls without double counts.
+    finite = np.isfinite(xs_out).all(axis=(0, 1)).tolist()
+    reruns = {
+        k: estimate_track(
+            accels[k],
+            velocities[k],
+            arc_lengths[k],
+            vehicle=vehicle,
+            config=cfg,
+            name=names[k] if names is not None else None,
+        )
+        for k in range(n_tracks)
+        if not finite[k]
+    }
     tracks: list[GradientTrack] = []
     for k in range(n_tracks):
         n_k = lengths[k]
         tel_k = tels[k]
         mon_k = mons[k]
+        name_k = names[k] if names is not None else None
+        if not finite[k]:
+            if tel_k is None and mon_k is None:
+                tracks.append(reruns[k])
+            else:  # once more, now reporting to its sinks
+                tracks.append(
+                    estimate_track(
+                        accels[k],
+                        velocities[k],
+                        arc_lengths[k],
+                        vehicle=vehicle,
+                        config=cfg,
+                        name=name_k,
+                        telemetry=tel_k,
+                        monitor=mon_k,
+                    )
+                )
+            continue
         if tel_k is not None or mon_k is not None:
             ticks_k = np.flatnonzero(update_mask[:n_k, k])
         if tel_k is not None:
+            vel = velocities[k]
+            dropped = int(np.count_nonzero(~(vel.valid & np.isfinite(vel.values))))
+            tel_k.count("samples_dropped", dropped)
+            tel_k.count("ekf_ticks", int(n_k))
+            tel_k.count("ekf_updates", len(ticks_k))
             if len(ticks_k):
                 tel_k.observe_many(
                     "ekf_innovation_abs", np.abs(inno_out[ticks_k, k])
                 )
             tel_k.gauge("ekf.final_theta_variance", float(var_out[n_k - 1, k]))
-        name_k = names[k] if names is not None else None
         if mon_k is not None:
             mon_k.check_track(
                 name_k or velocities[k].name,

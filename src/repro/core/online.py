@@ -395,10 +395,15 @@ class StreamingGradientEstimator:
         gd = self._gd
         core = self._core
         dr = self._dr
+        v = core.v
+        if not (math.isfinite(v) and math.isfinite(core.theta)):
+            # _recover restores the last finite speed after this tick; the
+            # odometry advances on it, not on the poisoned state.
+            v = self._ok_v
         if dr is not None and self._mode == _DEAD_RECKONING:
             if gyro != gyro:  # NaN gyro sample: hold heading this tick
                 gyro = 0.0
-            dr.predict(core.v, gyro)
+            dr.predict(v, gyro)
             self._s_est = dr.s
             dry = self._dry_ticks
             if (
@@ -416,7 +421,7 @@ class StreamingGradientEstimator:
         else:
             # Outside dead reckoning the filter speed is the best odometer;
             # pure bookkeeping, never touches the filter state.
-            self._s_est += core.v * self.dt
+            self._s_est += v * self.dt
         if self._obs is not None:
             self._c_mode[self._mode].inc()
 

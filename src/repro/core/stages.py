@@ -413,8 +413,10 @@ class TrackEstimationStage:
         the per-trip call while a wide call amortises the interpreter cost
         per tick. A chunk the scalar core would loop anyway gains nothing
         from flattening, so it runs one call per trip and a failure stays
-        with its trip. Per-track telemetry and health monitoring report to
-        each trip's own sinks.
+        with its trip. A flattened call that raises (the vectorized kernel
+        raises before any sink sees a track) is retried one trip per call,
+        so there too only the offending trip fails. Per-track telemetry and
+        health monitoring report to each trip's own sinks.
         """
         cfg = bctx.config
         prepared: list[
@@ -447,7 +449,8 @@ class TrackEstimationStage:
             groups = [prepared]
         else:
             groups = [[entry] for entry in prepared]
-        for group in groups:
+        while groups:
+            group = groups.pop(0)
             flat_accels: list[SampledSignal] = []
             flat_signals: list[SampledSignal] = []
             flat_s: list[np.ndarray] = []
@@ -475,8 +478,10 @@ class TrackEstimationStage:
                     gps_denied=cfg.gps_denied,
                 )
             except Exception as exc:  # noqa: BLE001 - per-trip isolation
-                for pos, *_ in group:
-                    bctx.fail(pos, exc)
+                if len(group) > 1:
+                    groups[:0] = [[entry] for entry in group]
+                else:
+                    bctx.fail(group[0][0], exc)
                 continue
             offset = 0
             for pos, ctx, aligned, kept, signals in group:

@@ -27,7 +27,7 @@ Metrics extracted per artifact
 ------------------------------
 ==============================  ===============================================
 ``batch.speedup_64``            vectorized-vs-scalar EKF kernel speedup at 64
-                                tracks (latest series-2 entry)
+                                tracks (latest series-2 uniform-traffic entry)
 ``batch.*_ns_per_track_tick``   both kernels' cost at 64 tracks [ns]
 ``batch.crossover_tracks``      measured scalar/vectorized crossover width
 ``pipeline.trips_per_sec``      batched evaluation runner throughput [1/s]
@@ -212,19 +212,28 @@ def collect_metrics(bench_dir: str | Path) -> dict:
     metrics: dict[str, float] = {}
 
     batch = _read_json(bench_dir / "BENCH_batch.json")
-    # Series 2 times the unboxed scalar loop at 64 tracks; earlier records
-    # divided by a slower scalar loop and start no metric.
+    # Series 2 times the unboxed scalar loop; earlier records divided by a
+    # slower scalar loop and start no metric. The latest
+    # uniform-traffic record counts (no "traffic" key = uniform), so a
+    # mixed-rate record appended after it does not change these metrics.
+    uniform: dict = {}
     if isinstance(batch, list) and batch and batch[-1].get("series") == 2:
-        latest = batch[-1]
-        for field_name, key in (
-            ("speedup", "batch.speedup_64"),
-            ("scalar_ns_per_track_tick", "batch.scalar_ns_per_track_tick"),
-            ("batch_ns_per_track_tick", "batch.batch_ns_per_track_tick"),
-            ("crossover_tracks", "batch.crossover_tracks"),
-        ):
-            value = latest.get(field_name)
-            if isinstance(value, (int, float)):
-                metrics[key] = float(value)
+        for record in batch:
+            if (
+                isinstance(record, dict)
+                and record.get("series") == 2
+                and record.get("traffic", "uniform") == "uniform"
+            ):
+                uniform = record
+    for field_name, key in (
+        ("speedup", "batch.speedup_64"),
+        ("scalar_ns_per_track_tick", "batch.scalar_ns_per_track_tick"),
+        ("batch_ns_per_track_tick", "batch.batch_ns_per_track_tick"),
+        ("crossover_tracks", "batch.crossover_tracks"),
+    ):
+        value = uniform.get(field_name)
+        if isinstance(value, (int, float)):
+            metrics[key] = float(value)
 
     pipeline = _read_json(bench_dir / "BENCH_pipeline.json")
     if isinstance(pipeline, list) and pipeline:

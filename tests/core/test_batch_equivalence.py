@@ -8,15 +8,20 @@ innovations, counters and health verdicts — across both process models,
 ragged lengths, shared measurement gaps, the theta clamp and the cos
 floor, plus the routing itself and a routes x noise-seeds x lane-change
 matrix through the full pipeline, including the total-GPS-outage fixture.
+A property test draws ragged mixed-rate batches on top of the fixed seeds.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.constants import GRAVITY
 from repro.core.batch import (
@@ -261,6 +266,117 @@ class TestDirectEquivalence:
         assert all(t.meta["engine"] == "batch" for t in named)
         default = estimate_tracks_batch(accels, velocities, arcs)
         assert [t.name for t in default] == [v.name for v in velocities]
+
+
+@st.composite
+def ragged_batches(draw):
+    """1-40 tracks of different lengths and timebases, each updating every
+    1, 5 or 50 ticks; some carry a non-finite accelerometer burst."""
+    n_tracks = draw(st.integers(1, 40))
+    seed = draw(st.integers(0, 2**32 - 1))
+    base = draw(st.integers(20, 300))
+    rng = np.random.default_rng(seed)
+    accels, velocities, arcs = [], [], []
+    for k in range(n_tracks):
+        n = base + int(rng.integers(0, max(base // 20, 1) + 1))
+        dt = float(rng.choice([0.01, 0.02]))
+        source = _SOURCES[k % len(_SOURCES)]
+        a, v, s = _synthetic_track(
+            n, dt, int(rng.integers(0, 2**31)), source=source,
+            meas_stride=int(rng.choice([1, 5, 50])),
+            theta=float(rng.uniform(-0.08, 0.08)),
+        )
+        if rng.random() < 0.1:
+            start = int(rng.integers(0, n))
+            a.values[start : start + 3] = rng.choice([np.nan, np.inf, -np.inf])
+        accels.append(a)
+        velocities.append(v)
+        arcs.append(s)
+    return draw(st.sampled_from(PROCESSES)), accels, velocities, arcs
+
+
+_SOURCES = ("gps-speed", "speedometer", "canbus", "accelerometer-velocity")
+
+
+def _with_sinks(fn, n_tracks):
+    """Run ``fn(telemetries, monitors)`` with fresh per-track sinks; returns
+    the outcome (tracks, or the exception type) and the sinks' records."""
+    cfg = GradientEKFConfig()
+    tels = [Telemetry(f"track-{k}") for k in range(n_tracks)]
+    mons = [HealthMonitor(p22_initial=cfg.initial_grade_std**2) for _ in range(n_tracks)]
+    try:
+        outcome = fn(tels, mons)
+    except ValueError as err:  # math.sin(inf) in the scalar core
+        return type(err), None
+    records = [(t.metrics.snapshot(), m.report()) for t, m in zip(tels, mons)]
+    return outcome, _nan_equal(records)
+
+
+def _nan_equal(obj):
+    """``obj`` with every NaN replaced by a marker, so == treats NaN as
+    equal to NaN (a diverged track's records hold NaN in both kernels)."""
+    if dataclasses.is_dataclass(obj):
+        obj = dataclasses.asdict(obj)
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        return {k: _nan_equal(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_nan_equal(v) for v in obj]
+    if isinstance(obj, float) and obj != obj:
+        return "nan"
+    return obj
+
+
+@given(ragged_batches())
+@settings(max_examples=40, deadline=None)
+def test_vectorized_equals_scalar_on_ragged_mixed_rate_batches(batch):
+    process, accels, velocities, arcs = batch
+    cfg = GradientEKFConfig(process=process)
+    n_tracks = len(accels)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # inf - inf on bursts
+        vec, vec_records = _with_sinks(
+            lambda tels, mons: _estimate_tracks_vectorized(
+                accels, velocities, arcs, config=cfg, telemetries=tels, monitors=mons
+            ),
+            n_tracks,
+        )
+        scalar, scalar_records = _with_sinks(
+            lambda tels, mons: [
+                estimate_track(a, v, s, config=cfg, telemetry=tel, monitor=mon)
+                for a, v, s, tel, mon in zip(accels, velocities, arcs, tels, mons)
+            ],
+            n_tracks,
+        )
+    if scalar_records is None:
+        assert vec is scalar
+        return
+    for got, want in zip(vec, scalar):
+        for field in ("theta", "v", "variance"):
+            assert np.array_equal(getattr(got, field), getattr(want, field), equal_nan=True)
+        assert got.name == want.name
+    assert vec_records == scalar_records
+
+
+@pytest.mark.parametrize("process", PROCESSES)
+def test_vectorized_kernel_is_warning_free(process):
+    # A numpy deprecation path (e.g. a positional out= on np.maximum)
+    # silently triples the cost of every call it sits on; any warning the
+    # kernel raises on clean input fails here.
+    accels, velocities, arcs = _mixed_batch(6)
+    cfg = GradientEKFConfig(process=process)
+    tel = Telemetry("warnings")
+    mon = HealthMonitor(p22_initial=cfg.initial_grade_std**2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tracks = _estimate_tracks_vectorized(
+            accels, velocities, arcs, config=cfg,
+            telemetries=[tel] * len(accels), monitors=[mon] * len(accels),
+        )
+    assert all(t.meta["engine"] == "batch" for t in tracks)
+    assert tel.metrics.snapshot()
+    assert len(mon.report().tracks) == len(accels)
 
 
 class TestRouting:

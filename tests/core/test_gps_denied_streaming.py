@@ -259,3 +259,53 @@ class TestReacquisition:
         assert saw_dr
         assert est.dead_reckoner is None  # cleared on reacquisition
         assert est.mode == "nominal"
+
+
+class _RecordingMap(PriorGradeMap):
+    """A prior map that records every measurement it serves."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.served: list[tuple[float, float]] = []
+
+    def measurement(self, s, s_variance=0.0):
+        theta, r_eff = super().measurement(s, s_variance)
+        self.served.append((s, theta))
+        return theta, r_eff
+
+
+class TestNonFiniteAccelBeforeOutage:
+    """A NaN accel burst just before a 30 s outage must not poison the
+    along-track distance: the odometry advances on the recovered speed."""
+
+    N_OUT = int(30.0 / DT)
+
+    def _case(self):
+        n = 1000 + self.N_OUT + 1000
+        accel, v_meas = synthetic(theta=0.04, n=n, seed=17)
+        accel[985:990] = np.nan
+        z = outage(gps_like(v_meas, period_ticks=10), 1000, self.N_OUT)
+        base = constant_map(theta=0.04, length=1000.0)
+        prior = _RecordingMap(base.s, base.theta, base.variance)
+        est = StreamingGradientEstimator(
+            dt=DT, v0=12.0, gps_denied=GPSDeniedConfig(**FAST), prior_map=prior
+        )
+        return est, prior, accel, z
+
+    def _check(self, est, prior, theta):
+        assert est.recoveries == 5  # one per NaN tick, none later
+        assert np.isfinite(est.s_estimate)
+        # ~12 m/s for the whole drive, NaN ticks included.
+        assert abs(est.s_estimate - 12.0 * len(theta) * DT) < 10.0
+        assert est.map_updates > 0 and len(prior.served) == est.map_updates
+        assert all(np.isfinite(s) and np.isfinite(t) for s, t in prior.served)
+        assert np.all(np.isfinite(theta[990:]))
+
+    def test_push(self):
+        est, prior, accel, z = self._case()
+        theta = np.array([est.push(a, zi).theta for a, zi in zip(accel, z)])
+        self._check(est, prior, theta)
+
+    def test_run(self):
+        est, prior, accel, z = self._case()
+        self._check(est, prior, est.run(accel, z))

@@ -7,6 +7,7 @@ of sinking the batch.
 """
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -266,6 +267,62 @@ class TestEstimateBatch:
         for i in (0, 2, 3):
             _assert_results_equal(serial[i], batched.results[i])
             assert tels[i].metrics.snapshot() == serial_snaps[i]
+
+    @pytest.mark.parametrize("fill", [1e300, np.inf])
+    def test_ekf_overflow_isolated_on_vectorized_route(self, profile, fill):
+        # Six trips (24 tracks) run as one vectorized call. A 1e300 accel
+        # burst overflows one trip's filter and the scalar core raises
+        # ValueError on it; an inf burst only poisons that trip's tracks.
+        # Either way every other trip's result and telemetry must match a
+        # serial run, and only an overflowing trip may fail.
+        import repro.core.batch as batch_mod
+
+        cfg = RunnerConfig(n_trips=6, seed=5)
+        recs = simulate_recordings(profile, cfg)
+        accel = recs[2].accel_long
+        values = accel.values.copy()
+        values[500:505] = fill
+        recs[2] = dataclasses.replace(
+            recs[2], accel_long=dataclasses.replace(accel, values=values)
+        )
+        assert 4 * len(recs) >= batch_mod.BATCH_MIN_TRACKS
+
+        serial, serial_snaps = [], []
+        for rec in recs:
+            tel = Telemetry("trip")
+            try:
+                serial.append(make_system(profile, cfg, telemetry=tel).estimate(rec))
+            except ValueError:
+                serial.append(None)
+            serial_snaps.append(tel.metrics.snapshot())
+        assert (serial[2] is None) == (fill == 1e300)
+
+        tels = [Telemetry("trip") for _ in recs]
+        with np.errstate(all="ignore"):
+            batched = make_system(profile, cfg).estimate_batch(recs, telemetries=tels)
+        assert set(batched.errors) == ({2} if serial[2] is None else set())
+        for i, (s, b) in enumerate(zip(serial, batched.results)):
+            # NaN-equal: the bad trip's snapshot holds NaN gauges.
+            assert json.dumps(tels[i].metrics.snapshot(), sort_keys=True) == json.dumps(
+                serial_snaps[i], sort_keys=True
+            )
+            if s is None:
+                assert b is None
+                assert isinstance(batched.errors[i], ValueError)
+                continue
+            assert np.array_equal(s.fused.theta, b.fused.theta, equal_nan=True)
+            assert sorted(s.tracks) == sorted(b.tracks)
+            for name, track in s.tracks.items():
+                for field in ("theta", "variance", "v"):
+                    assert np.array_equal(
+                        getattr(track, field), getattr(b.tracks[name], field),
+                        equal_nan=True,
+                    )
+            assert s.health == b.health
+            # After a raise the healthy trips were retried one per call.
+            want = "scalar" if serial[2] is None else "batch"
+            if i != 2:
+                assert {t.meta["engine"] for t in b.tracks.values()} == {want}
 
     def test_telemetries_length_validated(self, profile, fleet):
         system = make_system(profile, RunnerConfig(n_trips=4, seed=5))

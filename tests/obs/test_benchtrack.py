@@ -111,6 +111,27 @@ class TestCollect:
         assert metrics["telemetry.push_overhead_ratio"] == 1.01
         assert "telemetry.gauge" not in metrics  # only bench.* gauges
 
+    def test_batch_metrics_read_the_latest_uniform_record(self, tmp_path):
+        # The sweep appends a uniform and then a mixed-rate record; the
+        # batch.* metrics keep describing the uniform one.
+        _write_artifacts(tmp_path)
+        path = tmp_path / "BENCH_batch.json"
+        records = json.loads(path.read_text())
+        records.append(
+            {
+                "series": 2,
+                "traffic": "mixed",
+                "sweep": [{"n_tracks": 32, "speedup": 1.4}, {"n_tracks": 64, "speedup": 2.0}],
+                "crossover_tracks": 24,
+                "n_tracks": 64,
+                "speedup": 2.0,
+            }
+        )
+        path.write_text(json.dumps(records))
+        metrics = collect_metrics(tmp_path)
+        assert metrics["batch.speedup_64"] == 8.0
+        assert metrics["batch.crossover_tracks"] == 32.0
+
     def test_empty_directory_yields_no_metrics(self, tmp_path):
         assert collect_metrics(tmp_path) == {}
 
