@@ -2,7 +2,7 @@
 
 PYTEST := PYTHONPATH=src python -m pytest
 
-.PHONY: check lint lint-rules typecheck metric-names test fast test-faults test-scenarios coverage bench-smoke bench bench-batch bench-pipeline bench-faults bench-scenarios bench-gps-denied perfbench coldstart profile benchtrack benchtrack-report
+.PHONY: check lint lint-rules typecheck metric-names golden test fast test-faults test-scenarios coverage bench-smoke bench bench-batch bench-pipeline bench-faults bench-scenarios bench-gps-denied perfbench coldstart profile benchtrack benchtrack-report
 
 # Fast-lane coverage floor enforced in the CI PR lane (see ci.yml):
 # measured 94.6% line coverage over src/repro, floored at measured - 1.
@@ -32,6 +32,21 @@ typecheck:
 # lint-rules gate (RL004) and tests/lint/test_live_tree.py keep it fresh.
 metric-names:
 	PYTHONPATH=src python -m repro.lint --write-metric-names src/repro
+
+# Regenerate the streaming and offline goldens (tests/core/*_golden.json)
+# into a temporary directory and print the diff against the committed
+# files; exits 1 on a difference unless FORCE=1, which overwrites them.
+golden:
+	@tmp=$$(mktemp -d); status=0; \
+	for g in streaming offline; do \
+		PYTHONPATH=src python tests/core/gen_$${g}_golden.py --out $$tmp/$${g}_golden.json \
+			|| { rm -rf $$tmp; exit 1; }; \
+		diff -u tests/core/$${g}_golden.json $$tmp/$${g}_golden.json || status=1; \
+	done; \
+	if [ $$status -eq 0 ]; then echo "goldens unchanged"; \
+	elif [ "$(FORCE)" = 1 ]; then cp $$tmp/*_golden.json tests/core/; echo "goldens overwritten"; \
+	else echo "goldens differ; rerun with FORCE=1 to overwrite them"; status=2; fi; \
+	rm -rf $$tmp; [ $$status -ne 2 ]
 
 test:
 	$(PYTEST) -x -q

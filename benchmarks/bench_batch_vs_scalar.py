@@ -34,6 +34,10 @@ to ``benchmarks/BENCH_batch.json``. The two traffic shapes:
     one phone timebase, measured every 50 (GPS), 1 (speedometer), 1
     (accelerometer velocity) and 5 (CAN) ticks, trip lengths up to
     :data:`LENGTH_SPREAD` apart. This is the traffic the kernel serves.
+    From ``BATCH_MIN_TRACKS`` tracks up, the vectorized side runs the
+    vector loop only while that many tracks are live and finishes the
+    longer trips on the scalar forward pass, so its time includes those
+    tails.
 
 ``crossover_tracks`` is the smallest swept width from which the vectorized
 kernel is at least :data:`WIN_MARGIN` faster at every wider width;

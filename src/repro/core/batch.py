@@ -1,4 +1,4 @@
-"""Gradient EKF over N tracks: one call, two kernels, routed by track count.
+"""Gradient EKF over N tracks: one call, two kernels, routed by live width.
 
 :func:`estimate_tracks_batch` runs the ``[v, theta]`` filter over many
 tracks at once — one trip's velocity sources on a phone, or the flattened
@@ -9,7 +9,10 @@ on Python locals and floats) once per track; at or above it,
 :func:`_estimate_tracks_vectorized` stacks the tracks into
 ``(tick, track)`` arrays and advances them all per tick with numpy, paying
 the per-tick dispatch cost once instead of N times. The threshold is the
-crossover measured by ``benchmarks/bench_batch_vs_scalar.py``.
+crossover measured by ``benchmarks/bench_batch_vs_scalar.py``, and it
+routes per tick as well as per call: the vector loop runs only while at
+least ``BATCH_MIN_TRACKS`` tracks are live, and each longer track finishes
+on the scalar forward pass from its state at the last vector tick.
 
 The kernels are **bit-identical**: the scalar core hoists the same
 per-track constants (``drift_coeff * dt``, ``-g * dt``) and associates
@@ -20,18 +23,19 @@ This assumes numpy's float64 sin/cos equal ``math.sin``/``math.cos``,
 which numpy does not promise on every build and CPU (checked by name in
 ``test_numpy_trig_matches_math``).
 
-Tracks may differ in length, timebase and velocity source; the vectorized
-loop pads shorter tracks (zero accel, no measurements) and the padding
-never reaches the output. A track without a measurement at a tick gets an
-infinite measurement variance there, so its gains are 0 and the shared
-update adds exact zeros while its state is finite. A track whose theta or
-v goes non-finite is rerun on the scalar core, so non-finite input gets
-the scalar semantics too, including the ``ValueError`` an overflowing
-track raises; the reruns go before any sink sees a track of the call, so
-a caller may retry the other tracks without double counts.
-``config.smooth=True`` and an enabled GPS-denied config always take the
-scalar engine — the RTS backward pass and the outage plan are not
-vectorized.
+Tracks may differ in length, timebase and velocity source. A track that
+ends while the vector loop still runs is padded (zero accel, no
+measurements) up to the loop's last tick, and the padding never reaches
+the output. A track without a measurement at a tick gets an infinite
+measurement variance there, so its gains are 0 and the shared update adds
+exact zeros while its state is finite. A track whose theta or v goes
+non-finite in the vector loop is rerun on the scalar core, so non-finite
+input gets the scalar semantics too, including the ``ValueError`` an
+overflowing track raises; the reruns and the scalar tails go before any
+sink sees a track of the call, so a caller may retry the other tracks
+without double counts. ``config.smooth=True`` and an enabled GPS-denied
+config always take the scalar engine — the RTS backward pass and the
+outage plan are not vectorized.
 """
 
 from __future__ import annotations
@@ -47,19 +51,29 @@ from ..errors import EstimationError
 from ..obs import Telemetry
 from ..sensors.base import SampledSignal
 from ..vehicle.params import DEFAULT_VEHICLE, VehicleParams
-from .gradient_ekf import GradientEKFConfig, estimate_track, measurements_on_timebase
+from .gradient_ekf import (
+    GradientEKFConfig,
+    GradientFilterCore,
+    _Forward,
+    _forward_pass,
+    estimate_track,
+    measurements_on_timebase,
+)
 from .track import GradientTrack
 
 __all__ = ["BATCH_MIN_TRACKS", "estimate_tracks_batch", "runs_vectorized"]
 
 #: Track count from which :func:`estimate_tracks_batch` uses the vectorized
-#: tick loop instead of looping the scalar engine: the crossover measured on
-#: mixed-rate traffic shaped like a ``fleet_store`` call
-#: (the ``mixed`` series of ``benchmarks/bench_batch_vs_scalar.py`` →
-#: ``BENCH_batch.json``; two sweeps on a 2-CPU x86_64 host, against the
-#: locals-only scalar forward pass: 0.79-0.80x at 16 tracks, 1.12-1.21x at
-#: 24, 1.42-1.45x at 32 and 2.30-2.31x at 64). One trip's four sources stay
-#: scalar; a chunk of six or more trips runs vectorized.
+#: tick loop instead of looping the scalar engine, and the live width below
+#: which that loop hands its remaining tracks to the scalar forward pass:
+#: the crossover measured on mixed-rate traffic shaped like a
+#: ``fleet_store`` call (the ``mixed`` series of
+#: ``benchmarks/bench_batch_vs_scalar.py`` → ``BENCH_batch.json``, on a
+#: 2-CPU x86_64 host against the locals-only scalar forward pass). Three
+#: sweeps: 0.75-0.80x at 16 tracks, 1.12-1.21x at 24, 1.38-1.45x at 32 and
+#: 2.08-2.31x at 64; the latest one, with live-width routing, reads the
+#: low end at 32 and 64, where its ragged tails run scalar. One trip's
+#: four sources stay scalar; a chunk of six or more trips runs vectorized.
 BATCH_MIN_TRACKS = 24
 
 
@@ -201,14 +215,23 @@ def _estimate_tracks_vectorized(
         stds.append(cfg.std_for(velocities[k].name))
         r[k] = stds[k] ** 2
 
-    n_max = int(lengths.max())
-    a_in = np.zeros((n_max, n_tracks))
-    z_in = np.full((n_max, n_tracks), np.nan)
+    # Live-width routing: the vector loop runs only while at least
+    # BATCH_MIN_TRACKS tracks are live, i.e. for the first h ticks, h being
+    # the BATCH_MIN_TRACKS-th largest length. Each longer track finishes on
+    # the scalar forward pass from its state at tick h - 1 (a direct call
+    # narrower than the threshold runs every tick vectorized).
+    if n_tracks >= BATCH_MIN_TRACKS:
+        h = int(np.sort(lengths)[n_tracks - BATCH_MIN_TRACKS])
+    else:
+        h = int(lengths.max())
+    a_in = np.zeros((h, n_tracks))
+    z_in = np.full((h, n_tracks), np.nan)
+    zs: list[np.ndarray] = []
     for k in range(n_tracks):
-        n_k = lengths[k]
-        a_in[:n_k, k] = accels[k].values
         z_k = measurements_on_timebase(ts[k], velocities[k])
-        z_in[:n_k, k] = z_k
+        zs.append(z_k)
+        a_in[:lengths[k], k] = accels[k].values[:h]
+        z_in[:lengths[k], k] = z_k[:h]
         # measurements_on_timebase raised if no measurement is valid.
         v0[k] = float(z_k[np.argmax(np.isfinite(z_k))])
 
@@ -238,16 +261,18 @@ def _estimate_tracks_vectorized(
     x_hi = rows(theta_clamp, math.inf)
     q = rows(q_v, q_t)
 
-    # Outputs, time-major; each tick's [theta, v] is one contiguous (2, N)
-    # row so the state prediction and its clamps are one call each.
-    xs_out = np.empty((n_max, 2, n_tracks))
+    # Outputs of the h vector ticks, time-major; each tick's [theta, v] is
+    # one contiguous (2, N) row so the state prediction and its clamps are
+    # one call each.
+    xs_out = np.empty((h, 2, n_tracks))
     theta_out = xs_out[:, 0]
     v_out = xs_out[:, 1]
-    var_out = np.empty((n_max, n_tracks))
-    inno_out = np.empty((n_max, n_tracks)) if any_tel or any_mon else None
-    s_out = np.empty((n_max, n_tracks)) if any_mon else None
-    # Padding keeps advancing shorter tracks past their end, so each
-    # track's final covariance is captured at its own last tick.
+    var_out = np.empty((h, n_tracks))
+    inno_out = np.empty((h, n_tracks)) if any_tel or any_mon else None
+    s_out = np.empty((h, n_tracks)) if any_mon else None
+    # A track that ends before tick h is padded (zero accel, no
+    # measurements) until h, so its final covariance is captured at its
+    # own last tick; the padding never reaches the output.
     final_p = np.empty((3, n_tracks))
     ends: dict[int, list[int]] = {}
     if any_mon:
@@ -387,15 +412,18 @@ def _estimate_tracks_vectorized(
             final_p[1, done] = p12[done]
             final_p[2, done] = p22[done]
 
-    # -- unpack per track ---------------------------------------------------
+    # -- tails and reruns, before any sink sees a track ---------------------
     # A held track's update adds exact zeros only while its predicted state
     # is finite; otherwise inf / inf or 0 * inf leaves a NaN theta or v at
     # that tick.
     # Such a track is rerun on the scalar core, the reference for
-    # non-finite arithmetic. The reruns go first and without sinks, so a
-    # track the scalar core raises on (e.g. an overflowing accel) raises
-    # here before any sink has seen a track of this call, and the caller
-    # can retry the other tracks in narrower calls without double counts.
+    # non-finite arithmetic. A finite track longer than h continues on the
+    # scalar forward pass from its state at tick h - 1, reading its own
+    # NaN-holed measurements. Reruns and tails run first and without sinks,
+    # so a track the scalar core raises on (e.g. an overflowing accel)
+    # raises here before any sink has seen a track of this call, and the
+    # caller can retry the other tracks in narrower calls without double
+    # counts.
     finite = np.isfinite(xs_out).all(axis=(0, 1)).tolist()
     reruns = {
         k: estimate_track(
@@ -409,6 +437,16 @@ def _estimate_tracks_vectorized(
         for k in range(n_tracks)
         if not finite[k]
     }
+    tails: dict[int, tuple[GradientFilterCore, _Forward]] = {}
+    for k in range(n_tracks):
+        if finite[k] and lengths[k] > h:
+            core = GradientFilterCore(dt[k], vehicle, cfg, stds[k], v[k])
+            core.theta = float(theta[k])
+            core.p11, core.p12, core.p22 = float(p11[k]), float(p12[k]), float(p22[k])
+            fwd = _forward_pass(core, accels[k].values[h:].tolist(), zs[k][h:].tolist())
+            tails[k] = core, fwd
+
+    # -- unpack per track ---------------------------------------------------
     tracks: list[GradientTrack] = []
     for k in range(n_tracks):
         n_k = lengths[k]
@@ -432,8 +470,20 @@ def _estimate_tracks_vectorized(
                     )
                 )
             continue
+        tail = tails.get(k)
+        if tail is None:
+            theta_k, var_k, v_k = (col[:n_k, k].copy() for col in (theta_out, var_out, v_out))
+        else:
+            core, fwd = tail
+            theta_k = np.concatenate((theta_out[:, k], fwd.theta))
+            var_k = np.concatenate((var_out[:, k], fwd.var))
+            v_k = np.concatenate((v_out[:, k], fwd.v))
         if tel_k is not None or mon_k is not None:
-            ticks_k = np.flatnonzero(update_mask[:n_k, k])
+            ticks_k = np.flatnonzero(np.isfinite(zs[k]))
+            head = ticks_k[ticks_k < h]
+            inno_k = inno_out[head, k]
+            if tail is not None:
+                inno_k = np.concatenate((inno_k, fwd.innovations))
         if tel_k is not None:
             vel = velocities[k]
             dropped = int(np.count_nonzero(~(vel.valid & np.isfinite(vel.values))))
@@ -441,30 +491,34 @@ def _estimate_tracks_vectorized(
             tel_k.count("ekf_ticks", int(n_k))
             tel_k.count("ekf_updates", len(ticks_k))
             if len(ticks_k):
-                tel_k.observe_many(
-                    "ekf_innovation_abs", np.abs(inno_out[ticks_k, k])
-                )
-            tel_k.gauge("ekf.final_theta_variance", float(var_out[n_k - 1, k]))
+                tel_k.observe_many("ekf_innovation_abs", np.abs(inno_k))
+            tel_k.gauge("ekf.final_theta_variance", float(var_k[-1]))
         if mon_k is not None:
+            s_k = s_out[head, k]
+            if tail is not None:
+                s_k = np.concatenate((s_k, fwd.inno_var))
+                final_cov = (core.p11, core.p12, core.p22)
+            else:
+                final_cov = tuple(final_p[:, k].tolist())
             mon_k.check_track(
                 name_k or velocities[k].name,
-                theta_out[:n_k, k],
-                var_out[:n_k, k],
-                innovations=inno_out[ticks_k, k],
-                s=s_out[ticks_k, k],
+                theta_k,
+                var_k,
+                innovations=inno_k,
+                s=s_k,
                 update_ticks=ticks_k,
                 dt=float(dt[k]),
                 n_ticks=int(n_k),
-                final_cov=tuple(final_p[:, k].tolist()),
+                final_cov=final_cov,
             )
         tracks.append(
             GradientTrack(
                 name=name_k or velocities[k].name,
                 t=ts[k].copy(),
                 s=ss[k].copy(),
-                theta=theta_out[:n_k, k].copy(),
-                variance=var_out[:n_k, k].copy(),
-                v=v_out[:n_k, k].copy(),
+                theta=theta_k,
+                variance=var_k,
+                v=v_k,
                 meta={
                     "process": cfg.process,
                     "measurement_std": stds[k],

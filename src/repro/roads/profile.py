@@ -16,14 +16,16 @@ Conventions (matching the paper):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from ..errors import GeometryError, RouteError
 from .geometry import GeoPoint, LocalFrame, Polyline
 
-__all__ = ["RoadSection", "RoadProfile"]
+__all__ = ["RoadSection", "RoadProfile", "PointGrid"]
 
 
 @dataclass(frozen=True)
@@ -49,6 +51,79 @@ class RoadSection:
     def grade_sign(self) -> str:
         """``"+"`` for uphill sections, ``"-"`` for downhill (Table III)."""
         return "+" if self.mean_grade >= 0.0 else "-"
+
+
+class PointGrid:
+    """A bucket grid over a set of planar points, for radius queries.
+
+    The points are binned into square cells of side ``cell`` [m]; only the
+    occupied cells are stored, as sorted integer keys with CSR offsets into
+    the point indices, so memory is O(points) whatever the bounding box.
+    """
+
+    def __init__(self, xy: np.ndarray, cell: float) -> None:
+        xy = np.asarray(xy, dtype=float)
+        self.n_points = len(xy)
+        self.cell = float(cell)
+        self.x0, self.y0 = (float(c) for c in xy.min(axis=0))
+        ix = np.floor((xy[:, 0] - self.x0) / self.cell).astype(np.int64)
+        iy = np.floor((xy[:, 1] - self.y0) / self.cell).astype(np.int64)
+        self.n_x = int(ix.max()) + 1
+        self.n_y = int(iy.max()) + 1
+        point_keys = ix * self.n_y + iy
+        #: Point indices grouped by cell, ascending within a cell.
+        self.order = np.argsort(point_keys, kind="stable")
+        self.keys, counts = np.unique(point_keys[self.order], return_counts=True)
+        self.starts = np.concatenate(([0], np.cumsum(counts)))
+
+    def pairs_near(
+        self, x: np.ndarray, y: np.ndarray, radius: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Candidate ``(query, point)`` index pairs for a radius query.
+
+        Every point within ``radius`` of query ``(x[i], y[i])`` is paired
+        with ``i``, plus other points of the visited cells: all cells
+        within ``ceil(radius / cell)`` of the query's cell, and one more
+        ring as slack for rounding in the cell arithmetic. Non-finite
+        queries get no pairs. The pairs come sorted by query, then by
+        point index, in one vectorized pass over all queries.
+        """
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        query = np.flatnonzero(np.isfinite(x) & np.isfinite(y))
+        span = max(self.n_x, self.n_y)
+        if not radius < self.cell * span:  # the radius spans the grid
+            every = np.arange(self.n_points)
+            return np.repeat(query, self.n_points), np.tile(every, len(query))
+        reach = math.ceil(radius / self.cell) + 1
+        # Clip before the integer cast so far-off queries stay representable.
+        lim = (-reach - 1.0, span + reach)
+        ix = np.floor(np.clip((x[query] - self.x0) / self.cell, *lim)).astype(np.int64)
+        iy = np.floor(np.clip((y[query] - self.y0) / self.cell, *lim)).astype(np.int64)
+        off = np.arange(-reach, reach + 1)
+        cx = ix[:, None, None] + off[:, None]
+        cy = iy[:, None, None] + off
+        inside = (cx >= 0) & (cx < self.n_x) & (cy >= 0) & (cy < self.n_y)
+        key = (cx * self.n_y + cy)[inside]
+        owner = np.broadcast_to(query[:, None, None], inside.shape)[inside]
+        slot = np.minimum(np.searchsorted(self.keys, key), len(self.keys) - 1)
+        hit = self.keys[slot] == key
+        slot = slot[hit]
+        owner = owner[hit]
+        lo = self.starts[slot]
+        counts = self.starts[slot + 1] - lo
+        # Expand each cell's [lo, lo + count) range of ``order``.
+        ends = np.cumsum(counts)
+        pos = np.arange(ends[-1] if len(ends) else 0) + np.repeat(lo - ends + counts, counts)
+        pair = np.repeat(owner, counts) * self.n_points + self.order[pos]
+        pair.sort()
+        return pair // self.n_points, pair % self.n_points
+
+
+#: Cell side of :attr:`RoadProfile.point_grid` [m]: half the default gate of
+#: :func:`~repro.sensors.alignment.map_match`, so a default query visits 7 x 7
+#: cells (~120 m square) of a 1 m route grid. Any gate works with any cell.
+POINT_GRID_CELL_M = 17.5
 
 
 class RoadProfile:
@@ -169,6 +244,12 @@ class RoadProfile:
         )
 
     # -- queries -----------------------------------------------------------
+
+    @cached_property
+    def point_grid(self) -> PointGrid:
+        """A :class:`PointGrid` over the grid positions ``xy``, built on
+        first use (profiles are immutable once built)."""
+        return PointGrid(self.xy, POINT_GRID_CELL_M)
 
     @property
     def length(self) -> float:

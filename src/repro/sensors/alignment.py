@@ -87,20 +87,36 @@ def map_match(
 ) -> np.ndarray:
     """Match planar positions to arc lengths along the profile.
 
-    Uses a forward-moving local search: each fix is matched within a window
-    around the predicted position, which is O(window) per fix instead of
-    O(route length) and cannot jump backwards across the route on noisy
-    fixes. NaN positions yield NaN matches.
+    Each fix is matched among the route points within ``max_distance_m``
+    of it. Before the first match it takes the geometrically closest one;
+    after that, the point that best combines distance with deviation from
+    the arc length predicted since the last match, which cannot jump
+    backwards across the route on noisy fixes. NaN positions yield NaN
+    matches.
+
+    Cost: the near points come from the profile's bucket grid
+    (:attr:`~repro.roads.profile.RoadProfile.point_grid`, built once per
+    profile): one vectorized pass collects, for all fixes at once, the
+    points of every grid cell that can hold a point within
+    ``max_distance_m`` (plus one ring of cells as slack for rounding) and
+    keeps those that pass the distance gate. The work is O(fixes x points
+    per visited cell), independent of route length; only the choice among
+    a fix's near points runs per fix. The result is bit-identical to
+    scanning every route point per fix: the gate and the cost use the same
+    expressions on the same values, and the near points keep ascending
+    grid order, so ``argmin`` breaks ties the same way.
 
     Parameters
     ----------
+    window_m:
+        Without ``expected_step``, the arc length predicted per fix is
+        ``window_m / 4`` (a conservative forward prior).
     expected_step:
         Optional predicted arc-length advance [m] between consecutive
         fixes (e.g. the integral of the measured speed). When supplied the
-        search window is *centred on the prediction*, which keeps the
-        matcher locked on routes that revisit or double back on the same
-        streets — without it, the mirror branch of an out-and-back road can
-        alias the match.
+        prediction follows it, which keeps the matcher locked on routes
+        that revisit or double back on the same streets — without it, the
+        mirror branch of an out-and-back road can alias the match.
     max_distance_m:
         Matches farther than this from the route are rejected (left NaN);
         the caller's dead reckoning bridges them.
@@ -113,39 +129,47 @@ def map_match(
         expected_step = np.asarray(expected_step, dtype=float)
         if expected_step.shape != x.shape:
             raise AlignmentError("expected_step must match the fix count")
-    grid_x = profile.xy[:, 0]
-    grid_y = profile.xy[:, 1]
-    s_grid = profile.s
     max_d2 = max_distance_m**2
     pos_sigma2 = (max_distance_m / 3.0) ** 2
 
+    # All (fix, point) pairs within the gate, sorted by fix then point.
+    fix, point = profile.point_grid.pairs_near(x, y, abs(max_distance_m))
+    d2 = (profile.xy[point, 0] - x[fix]) ** 2 + (profile.xy[point, 1] - y[fix]) ** 2
+    near = d2 <= max_d2
+    fix = fix[near]
+    point = point[near]
+    d2 = d2[near]
+    d2_pos = d2 / pos_sigma2
+    s_near = profile.s[point]
+    bounds = np.searchsorted(fix, np.arange(len(x) + 1)).tolist()
+
     out = np.full(len(x), np.nan)
+    if expected_step is not None:
+        steps = expected_step.tolist()
+    else:
+        steps = [window_m / 4.0] * len(x)  # conservative forward prior
     s_anchor: float | None = None  # arc length of the last accepted match
     pending = 0.0  # predicted advance [m] accumulated since the last match
-    for i in range(len(x)):
-        if expected_step is not None:
-            pending += float(expected_step[i])
-        else:
-            pending += window_m / 4.0  # conservative forward prior
-        if not (np.isfinite(x[i]) and np.isfinite(y[i])):
-            continue
-        d2 = (grid_x - x[i]) ** 2 + (grid_y - y[i]) ** 2
-        near = d2 <= max_d2
-        if not np.any(near):
+    for i, step in enumerate(steps):
+        pending += step
+        lo, hi = bounds[i], bounds[i + 1]
+        if lo == hi:
             continue
         if s_anchor is None:
             # No anchor yet: take the geometrically closest point.
-            idx = int(np.argmin(d2))
+            j = lo + int(np.argmin(d2[lo:hi]))
         else:
             # Disambiguate revisited streets: combine geometric distance
             # with deviation from the speed-predicted arc length. The
             # prediction uncertainty grows with distance dead-reckoned.
             s_pred = s_anchor + pending
             s_sigma2 = (12.0 + 0.05 * abs(pending)) ** 2
-            cand = np.flatnonzero(near)
-            cost = d2[cand] / pos_sigma2 + (s_grid[cand] - s_pred) ** 2 / s_sigma2
-            idx = int(cand[np.argmin(cost)])
-        s_anchor = float(s_grid[idx])
+            cost = s_near[lo:hi] - s_pred  # in place from here on
+            cost *= cost
+            cost /= s_sigma2
+            cost += d2_pos[lo:hi]
+            j = lo + int(cost.argmin())
+        s_anchor = float(s_near[j])
         pending = 0.0
         out[i] = s_anchor
     return out

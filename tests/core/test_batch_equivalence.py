@@ -379,6 +379,95 @@ def test_vectorized_kernel_is_warning_free(process):
     assert len(mon.report().tracks) == len(accels)
 
 
+class _RecordingMonitor(HealthMonitor):
+    """A :class:`HealthMonitor` that also keeps what each ``check_track``
+    call was given, ``final_cov`` included."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.calls = []
+
+    def check_track(self, name, theta, variance, **kwargs):
+        self.calls.append(_nan_equal({"name": name, "theta": theta, "variance": variance, **kwargs}))
+        return super().check_track(name, theta, variance, **kwargs)
+
+
+def _ragged_wide_batch(n_tracks: int):
+    """``n_tracks`` tracks whose lengths all differ, so a vectorized call's
+    live width falls below ``BATCH_MIN_TRACKS`` before the longest ends."""
+    inputs = [
+        _synthetic_track(
+            300 + 13 * k, 0.02, seed=100 + k, source=_SOURCES[k % len(_SOURCES)],
+            meas_stride=(1, 5, 50)[k % 3],
+        )
+        for k in range(n_tracks)
+    ]
+    return [list(col) for col in zip(*inputs)]
+
+
+class TestLiveWidthRouting:
+    @pytest.mark.parametrize("process", PROCESSES)
+    def test_crossing_call_with_sinks_equals_scalar(self, process):
+        # Eight tracks more than the threshold: the vector loop stops
+        # where the 9th-shortest track ends, and the eight longer tracks
+        # finish on the scalar forward pass. Every track, its telemetry,
+        # its health report and what its monitor was handed (final_cov
+        # included) must equal a per-track estimate_track.
+        accels, velocities, arcs = _ragged_wide_batch(BATCH_MIN_TRACKS + 8)
+        lengths = sorted(len(a.t) for a in accels)
+        assert lengths[8] < lengths[-1]  # the live width crosses mid-call
+        cfg = GradientEKFConfig(process=process)
+        p22_0 = cfg.initial_grade_std**2
+        sinks = {
+            k: (
+                [Telemetry(f"{k}-{j}") for j in range(len(accels))],
+                [_RecordingMonitor(p22_initial=p22_0) for _ in accels],
+            )
+            for k in ("routed", "scalar")
+        }
+        tels, mons = sinks["routed"]
+        routed = estimate_tracks_batch(
+            accels, velocities, arcs, config=cfg, telemetries=tels, monitors=mons
+        )
+        assert {t.meta["engine"] for t in routed} == {"batch"}
+        tels, mons = sinks["scalar"]
+        scalar = [
+            estimate_track(a, v, s, config=cfg, telemetry=tel, monitor=mon)
+            for a, v, s, tel, mon in zip(accels, velocities, arcs, tels, mons)
+        ]
+        _assert_tracks_equal(routed, scalar)
+        for (tel_r, mon_r), (tel_s, mon_s) in zip(
+            zip(*sinks["routed"]), zip(*sinks["scalar"])
+        ):
+            assert tel_r.metrics.snapshot() == tel_s.metrics.snapshot()
+            assert mon_r.report() == mon_s.report()
+            assert mon_r.calls == mon_s.calls
+
+    def test_only_tracks_past_the_threshold_run_a_tail(self, monkeypatch):
+        import repro.core.batch as batch_mod
+
+        tails = []
+        real = batch_mod._forward_pass
+
+        def counting(core, a_list, z_list, *args, **kwargs):
+            tails.append(len(a_list))
+            return real(core, a_list, z_list, *args, **kwargs)
+
+        monkeypatch.setattr(batch_mod, "_forward_pass", counting)
+        n_tracks = BATCH_MIN_TRACKS + 8
+        accels, velocities, arcs = _ragged_wide_batch(n_tracks)
+        estimate_tracks_batch(accels, velocities, arcs)
+        lengths = sorted(len(a.t) for a in accels)
+        h = lengths[n_tracks - BATCH_MIN_TRACKS]
+        assert sorted(tails) == sorted(n - h for n in lengths if n > h)
+
+        # A uniform-length call steps every tick vectorized.
+        tails.clear()
+        inputs = [_synthetic_track(300, 0.02, seed=k) for k in range(n_tracks)]
+        estimate_tracks_batch(*(list(col) for col in zip(*inputs)))
+        assert tails == []
+
+
 class TestRouting:
     def test_threshold_sits_between_trip_and_fleet_widths(self):
         # One trip's four sources run scalar; an 8-trip store chunk (32

@@ -324,6 +324,62 @@ class TestEstimateBatch:
             if i != 2:
                 assert {t.meta["engine"] for t in b.tracks.values()} == {want}
 
+    @pytest.mark.parametrize("fill", [1e300, np.inf])
+    def test_ekf_overflow_in_a_tail_isolated(self, profile, fill):
+        # Eight trips (32 tracks) run as one vectorized call that steps
+        # the vector loop only while BATCH_MIN_TRACKS tracks are live; the
+        # longest trip finishes on scalar tails. A burst there, after the
+        # vector loop stopped, must leave every other trip's result and
+        # telemetry as in a serial run (no sink counted twice), and only
+        # an overflowing trip may fail.
+        import repro.core.batch as batch_mod
+
+        cfg = RunnerConfig(n_trips=8, seed=5)
+        recs = simulate_recordings(profile, cfg)
+        lengths = [len(rec.t) for rec in recs]
+        track_lengths = sorted(n for n in lengths for _ in range(4))  # 4 sources
+        h = track_lengths[len(track_lengths) - batch_mod.BATCH_MIN_TRACKS]
+        bad = int(np.argmax(lengths))
+        assert lengths[bad] > h + 10
+        accel = recs[bad].accel_long
+        values = accel.values.copy()
+        values[h + 5 : h + 10] = fill
+        recs[bad] = dataclasses.replace(
+            recs[bad], accel_long=dataclasses.replace(accel, values=values)
+        )
+
+        serial, serial_snaps = [], []
+        for rec in recs:
+            tel = Telemetry("trip")
+            try:
+                with np.errstate(all="ignore"):
+                    serial.append(make_system(profile, cfg, telemetry=tel).estimate(rec))
+            except ValueError:
+                serial.append(None)
+            serial_snaps.append(tel.metrics.snapshot())
+        assert (serial[bad] is None) == (fill == 1e300)
+
+        tels = [Telemetry("trip") for _ in recs]
+        with np.errstate(all="ignore"):
+            batched = make_system(profile, cfg).estimate_batch(recs, telemetries=tels)
+        assert set(batched.errors) == ({bad} if serial[bad] is None else set())
+        for i, (s, b) in enumerate(zip(serial, batched.results)):
+            assert json.dumps(tels[i].metrics.snapshot(), sort_keys=True) == json.dumps(
+                serial_snaps[i], sort_keys=True
+            )
+            if s is None:
+                assert b is None
+                continue
+            assert np.array_equal(s.fused.theta, b.fused.theta, equal_nan=True)
+            assert sorted(s.tracks) == sorted(b.tracks)
+            for name, track in s.tracks.items():
+                for field in ("theta", "variance", "v"):
+                    assert np.array_equal(
+                        getattr(track, field), getattr(b.tracks[name], field),
+                        equal_nan=True,
+                    )
+            assert s.health == b.health
+
     def test_telemetries_length_validated(self, profile, fleet):
         system = make_system(profile, RunnerConfig(n_trips=4, seed=5))
         with pytest.raises(EstimationError):
