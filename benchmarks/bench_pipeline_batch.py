@@ -1,18 +1,18 @@
-"""Whole-pipeline throughput: batched evaluation vs the serial runner.
+"""Whole-pipeline throughput: chunked evaluation vs one trip per chunk.
 
 This is the end-to-end twin of ``bench_batch_vs_scalar`` (which times only
 the EKF engine): here the *entire* evaluation — simulate, sanitize-free
-four-stage pipeline, scoring, fusion — runs once through the serial
-reference runner (:func:`repro.eval.parallel.evaluate_trips` on the
-``serial`` backend) and once through the batched runner
-(:func:`repro.eval.parallel.evaluate_trips_batch`), which amortizes
-per-trip interpreter and dispatch cost over columnar
+four-stage pipeline, scoring, fusion — runs through
+:func:`repro.eval.parallel.evaluate_trips` twice: once as the serial
+reference (``chunk_size=1`` on the ``serial`` backend) and once batched
+(``chunk_size=8`` on the ``process`` backend), which amortizes per-trip
+interpreter and dispatch cost over columnar
 :class:`~repro.core.trip_batch.TripBatch` chunks.
 
 Pytest mode (``pytest benchmarks/bench_pipeline_batch.py``) is the CI
-smoke: it pins the two runners to an identical report at small N and
-prints both timings. It asserts no speedup: the ratio falls whenever the
-serial runner gets faster, so it says nothing about either runner alone.
+smoke: it pins the two configurations to an identical report at small N
+and prints both timings. It asserts no speedup: the ratio falls whenever
+the serial reference gets faster, so it says nothing about either alone.
 
 Script mode (``PYTHONPATH=src python benchmarks/bench_pipeline_batch.py``)
 runs the full 32-trip measurement and appends one record::
@@ -36,12 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.eval.parallel import (
-    BatchEvalConfig,
-    ParallelConfig,
-    evaluate_trips,
-    evaluate_trips_batch,
-)
+from repro.eval.parallel import ParallelConfig, evaluate_trips
 from repro.eval.runner import RunnerConfig
 from repro.roads.builder import SectionSpec, build_profile
 
@@ -63,28 +58,33 @@ def make_profile():
     return build_profile(list(_ROUTE), name="bench-pipeline-route")
 
 
-def batch_config() -> BatchEvalConfig:
+#: The serial reference: one trip per chunk, inline.
+SERIAL = ParallelConfig(backend="serial", max_workers=1, chunk_size=1)
+
+
+def batch_config() -> ParallelConfig:
     """Chunked batching tuned to the host: worker processes only help when
     there is more than one core to run them on."""
     backend = "process" if (os.cpu_count() or 1) > 1 else "serial"
-    return BatchEvalConfig(chunk_size=8, max_workers=4, backend=backend)
+    return ParallelConfig(chunk_size=8, max_workers=4, backend=backend)
 
 
 def time_runners(profile, cfg, bat, repeats: int = REPEATS):
-    """Best-of-N wall time for each runner (min filters scheduler noise)."""
+    """Best-of-N wall time for the serial reference and for ``bat`` (min
+    filters scheduler noise)."""
     serial_s = batch_s = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
-        evaluate_trips(profile, cfg, ParallelConfig(backend="serial", max_workers=1))
+        evaluate_trips(profile, cfg, SERIAL)
         serial_s = min(serial_s, time.perf_counter() - t0)
         t0 = time.perf_counter()
-        evaluate_trips_batch(profile, cfg, bat)
+        evaluate_trips(profile, cfg, bat)
         batch_s = min(batch_s, time.perf_counter() - t0)
     return serial_s, batch_s
 
 
 def assert_reports_equal(a, b) -> None:
-    """The batched report must be *identical* to the serial one."""
+    """The chunked report must be *identical* to the serial one."""
     assert a.n_trips == b.n_trips and a.profile_name == b.profile_name
     assert np.array_equal(a.s_grid, b.s_grid)
     assert np.array_equal(a.fused_theta, b.fused_theta)
@@ -101,19 +101,17 @@ def assert_reports_equal(a, b) -> None:
 
 
 def test_batch_runner_identical_and_timed(bench_telemetry):
-    """Identical reports; both runners' throughput is recorded, not gated."""
+    """Identical reports; both configurations' throughput is recorded, not
+    gated."""
     profile = make_profile()
     cfg = RunnerConfig(n_trips=6, seed=11)
-    serial = evaluate_trips(profile, cfg, ParallelConfig(backend="serial", max_workers=1))
-    batched = evaluate_trips_batch(
-        profile, cfg, BatchEvalConfig(chunk_size=6, backend="serial")
-    )
+    chunked = ParallelConfig(chunk_size=6, backend="serial")
+    serial = evaluate_trips(profile, cfg, SERIAL)
+    batched = evaluate_trips(profile, cfg, chunked)
     assert_reports_equal(serial, batched)
 
     with bench_telemetry.span("bench_pipeline_batch", n_trips=6):
-        serial_s, batch_s = time_runners(
-            profile, cfg, BatchEvalConfig(chunk_size=6, backend="serial"), repeats=2
-        )
+        serial_s, batch_s = time_runners(profile, cfg, chunked, repeats=2)
     speedup = serial_s / batch_s
     bench_telemetry.gauge("bench.pipeline_speedup", speedup)
     print(

@@ -46,7 +46,6 @@ from .stages import (
     PipelineContext,
     Stage,
     build_stages,
-    fusion_grid,
     run_stage_batch,
     validate_stage_names,
 )
@@ -188,9 +187,8 @@ class BatchEstimate:
 
     ``results[i]`` is trip ``i``'s :class:`EstimationResult`, or ``None``
     when that trip failed; ``errors`` maps each failed position to the
-    exception that removed it — the same exception the serial
-    :meth:`GradientEstimationSystem.estimate` call would have raised for
-    that recording.
+    exception that removed it — the one
+    :meth:`GradientEstimationSystem.estimate` raises for that recording.
     """
 
     results: list[EstimationResult | None]
@@ -212,9 +210,9 @@ class GradientEstimationSystem:
     """OPS: the paper's proposed system, end to end.
 
     A thin runner over the configured stage objects: construction resolves
-    ``config.stages`` against the stage registry, and :meth:`estimate`
-    threads a :class:`~repro.core.stages.PipelineContext` through them,
-    one telemetry span per stage.
+    ``config.stages`` against the stage registry, and :meth:`estimate_batch`
+    threads one :class:`~repro.core.stages.PipelineContext` per trip through
+    them, one telemetry span per stage; :meth:`estimate` is a batch of one.
 
     Parameters
     ----------
@@ -259,72 +257,15 @@ class GradientEstimationSystem:
         )
 
     def estimate(self, recording: PhoneRecording) -> EstimationResult:
-        """Estimate the road-gradient profile from one phone recording."""
-        cfg = self.config
-        tel = self.telemetry
+        """Estimate the road-gradient profile from one phone recording.
 
-        ctx = PipelineContext(
-            recording=recording,
-            config=cfg,
-            road_map=self.road_map,
-            vehicle=self.vehicle,
-            telemetry=tel,
-        )
-        monitor: HealthMonitor | None = None
-        if cfg.health.enabled:
-            monitor = HealthMonitor(
-                cfg.health,
-                telemetry=tel,
-                p22_initial=cfg.ekf.initial_grade_std**2,
-            )
-            # Screen the *raw* recording before any stage (sanitize repairs
-            # NaN bursts, so the screen must see the original input).
-            monitor.check_recording(recording)
-            ctx.extras["health_monitor"] = monitor
-        with tel.span("estimate", n_sources=len(cfg.velocity_sources)):
-            for stage in self.stages:
-                with tel.span(stage.name) as span:
-                    ctx.span = span
-                    ctx = stage.run(ctx)
-                ctx.span = None
-        tel.count("pipeline.estimates")
-
-        if ctx.fused is None or ctx.aligned is None or ctx.s_grid is None:
-            missing = [
-                name
-                for name, value in (
-                    ("aligned", ctx.aligned),
-                    ("fused", ctx.fused),
-                    ("s_grid", ctx.s_grid),
-                )
-                if value is None
-            ]
-            raise EstimationError(
-                f"configured stages {list(cfg.stages)} did not produce "
-                f"{missing}; a complete pipeline needs the alignment and "
-                f"fusion stages (or custom stages filling the same outputs)"
-            )
-        report: HealthReport | None = None
-        if monitor is not None:
-            report = monitor.report()
-            if report.verdict != "ok" and tel.active:
-                tel.count(
-                    "health.trips_flagged", labels={"verdict": report.verdict}
-                )
-                tel.event(
-                    "health.trip_flagged",
-                    verdict=report.verdict,
-                    n_flags=report.n_flags,
-                    kinds=report.flag_kinds(),
-                )
-        return EstimationResult(
-            fused=ctx.fused,
-            tracks=ctx.tracks,
-            events=ctx.events,
-            aligned=ctx.aligned,
-            s_grid=ctx.s_grid,
-            health=report,
-        )
+        A batch of one: :meth:`estimate_batch` over ``[recording]``. A
+        failing trip raises the exception that removed it from the batch.
+        """
+        out = self.estimate_batch([recording])
+        if out.errors:
+            raise out.errors[0]
+        return out.results[0]
 
     def estimate_batch(
         self,
@@ -333,14 +274,16 @@ class GradientEstimationSystem:
     ) -> BatchEstimate:
         """Estimate N trips in one batched pipeline pass.
 
-        The stage list runs once over a columnar
-        :class:`~repro.core.trip_batch.TripBatch` (stages without a batch
-        entry point loop their serial ``run``); each trip's outputs,
-        errors, health report and telemetry are identical to what a
-        per-trip :meth:`estimate` call produces, but the interpreter and
-        dispatch cost is paid per batch instead of per trip. A failing
-        trip is isolated — it lands in :attr:`BatchEstimate.errors` while
-        the rest of the batch completes.
+        This is the pipeline's only runner (:meth:`estimate` is a batch of
+        one). The stage list runs once over a columnar
+        :class:`~repro.core.trip_batch.TripBatch`: stages with a
+        ``run_batch`` entry point take their columnar path, any other stage
+        loops its per-trip ``run`` (:func:`~repro.core.stages.run_stage_batch`).
+        Each trip's outputs, errors, health report and telemetry do not
+        depend on the batch it rides in; the interpreter and dispatch cost
+        is paid per batch instead of per trip. A failing trip is isolated:
+        it lands in :attr:`BatchEstimate.errors` while the rest of the batch
+        completes.
 
         Parameters
         ----------
@@ -351,9 +294,10 @@ class GradientEstimationSystem:
             path).
         telemetries:
             Optional per-trip telemetry sinks. When given, trip ``i``'s
-            stage metrics go to ``telemetries[i]`` exactly as if a serial
-            system had been built around that telemetry; when omitted,
-            every trip reports to the system telemetry.
+            stage metrics go to ``telemetries[i]`` exactly as if a system
+            had been built around that telemetry; when omitted, every trip
+            reports to the system telemetry. Spans always go to the system
+            telemetry.
         """
         cfg = self.config
         tel = self.telemetry
@@ -384,7 +328,6 @@ class GradientEstimationSystem:
             config=cfg,
             road_map=self.road_map,
             vehicle=self.vehicle,
-            telemetry=tel,
         )
         for i, rec in enumerate(recs):
             ctx = PipelineContext(
@@ -402,33 +345,29 @@ class GradientEstimationSystem:
                         telemetry=tels[i],
                         p22_initial=cfg.ekf.initial_grade_std**2,
                     )
-                    # Screen the *raw* recording before any stage, exactly
-                    # as the serial path does.
+                    # Screen the *raw* recording before any stage (sanitize
+                    # repairs NaN bursts, so the screen must see the
+                    # original input).
                     monitor.check_recording(rec)
                 except Exception as exc:  # noqa: BLE001 - per-trip isolation
                     bctx.fail(i, exc)
                     continue
                 ctx.extras["health_monitor"] = monitor
 
-        with tel.span("estimate_batch", n_trips=n):
+        with tel.span("estimate", n_trips=n):
             for stage in self.stages:
                 with tel.span(stage.name, n_live=bctx.n_live):
                     run_stage_batch(stage, bctx)
 
         results: list[EstimationResult | None] = [None] * n
         for pos, ctx in list(bctx.live_items()):
-            trip_tel = tels[pos]
+            trip_tel = ctx.telemetry
             trip_tel.count("pipeline.estimates")
-            if ctx.fused is None or ctx.aligned is None or ctx.s_grid is None:
-                missing = [
-                    name
-                    for name, value in (
-                        ("aligned", ctx.aligned),
-                        ("fused", ctx.fused),
-                        ("s_grid", ctx.s_grid),
-                    )
-                    if value is None
-                ]
+            missing = [
+                name for name in ("aligned", "fused", "s_grid")
+                if getattr(ctx, name) is None
+            ]
+            if missing:
                 bctx.fail(
                     pos,
                     EstimationError(
@@ -462,15 +401,7 @@ class GradientEstimationSystem:
                 s_grid=ctx.s_grid,
                 health=report,
             )
-        if tel.active:
-            tel.count("pipeline.batch.trips", n)
         return BatchEstimate(results=results, errors=dict(bctx.failed))
-
-    def _fusion_grid(self, aligned: AlignedSteering) -> np.ndarray:
-        """The fusion grid for one aligned trip (kept for introspection)."""
-        return fusion_grid(
-            aligned, self.road_map.length, self.config.fusion_grid_spacing
-        )
 
 
 def fuse_estimates(

@@ -252,10 +252,7 @@ class SanitizeStage:
         self.config = config or SanitizeConfig()
 
     def run(self, ctx):  # ctx: repro.core.stages.PipelineContext
-        before = ctx.recording
-        ctx.recording = sanitize_recording(before, self.config, ctx.telemetry)
-        if ctx.span is not None and ctx.recording is not before:
-            ctx.span.set(repaired=True)
+        ctx.recording = sanitize_recording(ctx.recording, self.config, ctx.telemetry)
         return ctx
 
     def run_batch(self, bctx):  # bctx: repro.core.trip_batch.BatchPipelineContext

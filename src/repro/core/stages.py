@@ -86,10 +86,8 @@ class PipelineContext:
 
     The immutable inputs (recording, config, road map, vehicle, telemetry)
     are set by the runner; each stage fills in its outputs and returns the
-    context. ``span`` is the currently-open telemetry span for the running
-    stage (stages may attach attributes to it); ``extras`` is scratch space
-    for custom stages so they can pass data to each other without touching
-    the core fields.
+    context. ``extras`` is scratch space for custom stages so they can pass
+    data to each other without touching the core fields.
     """
 
     recording: PhoneRecording
@@ -104,7 +102,6 @@ class PipelineContext:
     tracks: dict[str, GradientTrack] = field(default_factory=dict)
     s_grid: np.ndarray | None = None
     fused: GradientTrack | None = None
-    span: Any = None
     extras: dict = field(default_factory=dict)
 
     def require(self, attr: str, needed_by: str) -> Any:
@@ -124,12 +121,14 @@ class Stage(Protocol):
 
     Stages may additionally implement the *optional* batch entry point
     ``run_batch(bctx: BatchPipelineContext) -> None``, which processes all
-    live trips of a batch in one pass (columnar fast paths). Stages
-    without it — third-party stages included — still work in batch mode:
-    :func:`run_stage_batch` falls back to looping ``run`` per trip. A
-    stage that declares ``run_batch`` must keep ``run`` as well (enforced
-    by reprolint RL003) and must produce per-trip outputs and telemetry
-    identical to its serial ``run``.
+    live trips of a batch in one pass (columnar fast paths). The pipeline
+    always runs batches (a single trip is a batch of one); for a stage
+    without ``run_batch`` — third-party stages included —
+    :func:`run_stage_batch` loops ``run`` per trip and keeps the context
+    it returns. A stage that declares ``run_batch`` must keep ``run`` as
+    well (enforced by reprolint RL003): ``run`` is the per-trip contract
+    and the reference its ``run_batch`` must match in per-trip outputs
+    and telemetry.
     """
 
     name: str
@@ -288,8 +287,6 @@ class LaneChangeStage:
         ctx.events = self._detector.detect(
             aligned.t, ctx.w_smooth, aligned.v, presmoothed=True
         )
-        if ctx.span is not None:
-            ctx.span.set(n_events=len(ctx.events))
         return ctx
 
     def run_batch(self, bctx: BatchPipelineContext) -> None:
@@ -724,7 +721,8 @@ def run_stage_batch(stage: Stage, bctx: BatchPipelineContext) -> BatchPipelineCo
 
     Stages that implement the optional ``run_batch`` entry point get the
     columnar fast path; any other stage — third-party stages included —
-    falls back to looping its serial ``run`` per trip. Either way a trip
+    falls back to looping its per-trip ``run``, whose returned context
+    replaces the trip's. Either way a trip
     that raises is recorded in ``bctx.failed`` and skipped by later
     stages instead of taking the whole batch down.
     """
@@ -734,7 +732,7 @@ def run_stage_batch(stage: Stage, bctx: BatchPipelineContext) -> BatchPipelineCo
         return bctx
     for pos, ctx in list(bctx.live_items()):
         try:
-            stage.run(ctx)
+            bctx.contexts[pos] = stage.run(ctx)
         except Exception as exc:  # noqa: BLE001 - per-trip isolation
             bctx.fail(pos, exc)
     return bctx

@@ -37,7 +37,6 @@ from typing import TYPE_CHECKING, Any, Iterator, Sequence
 import numpy as np
 
 from ..errors import EstimationError
-from ..obs import Telemetry
 from ..sensors.phone import PhoneRecording
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -250,12 +249,12 @@ def _writable(arr: np.ndarray) -> np.ndarray:
 class BatchPipelineContext:
     """Everything flowing through one *batch* estimation pass.
 
-    ``contexts`` holds one per-trip :class:`PipelineContext`; stages read
-    and write those exactly as in the serial path (so per-trip telemetry
-    and outputs stay pinned equal), while ``batch`` provides the shared
-    columnar views. ``failed`` maps trip position to the exception that
-    removed it from the batch — remaining stages skip failed trips via
-    :meth:`live_items`.
+    ``contexts`` holds one per-trip :class:`PipelineContext`, each with
+    its trip's telemetry; stages read and write those exactly as a
+    per-trip ``run`` does (so per-trip telemetry and outputs do not depend
+    on the batch), while ``batch`` provides the shared columnar views.
+    ``failed`` maps trip position to the exception that removed it from
+    the batch — remaining stages skip failed trips via :meth:`live_items`.
     """
 
     batch: TripBatch
@@ -263,7 +262,6 @@ class BatchPipelineContext:
     config: "GradientSystemConfig"
     road_map: "RoadProfile"
     vehicle: "VehicleParams"
-    telemetry: Telemetry
     failed: dict[int, BaseException] = field(default_factory=dict)
     extras: dict = field(default_factory=dict)
 
@@ -279,11 +277,16 @@ class BatchPipelineContext:
         return len(self.contexts) - len(self.failed)
 
     def fail(self, pos: int, exc: BaseException) -> None:
-        """Record trip ``pos`` as failed; later stages skip it."""
+        """Record trip ``pos`` as failed; later stages skip it.
+
+        The failure is counted on the trip's own telemetry, so a trip
+        reports it the same whatever batch it rides in.
+        """
         self.failed[pos] = exc
-        if self.telemetry.active:
-            self.telemetry.count("pipeline.batch.trip_failed")
-            self.telemetry.event(
+        tel = self.contexts[pos].telemetry
+        if tel.active:
+            tel.count("pipeline.batch.trip_failed")
+            tel.event(
                 "pipeline.batch.trip_failed",
                 position=pos,
                 error=f"{type(exc).__name__}: {exc}",

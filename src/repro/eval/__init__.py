@@ -12,14 +12,7 @@ from .metrics import (
 )
 from .gps_denied import GPSDeniedMatrixConfig, run_gps_denied_matrix
 from .grid import ScenarioGridConfig, run_scenario_grid, write_grid_artifact
-from .parallel import (
-    BatchEvalConfig,
-    EvalReport,
-    ParallelConfig,
-    TripOutcome,
-    evaluate_trips,
-    evaluate_trips_batch,
-)
+from .parallel import EvalReport, ParallelConfig, TripOutcome, evaluate_trips
 from .resilience import (
     ResilienceConfig,
     fault_suite_for,
@@ -53,9 +46,7 @@ __all__ = [
     "EvalReport",
     "ParallelConfig",
     "TripOutcome",
-    "BatchEvalConfig",
     "evaluate_trips",
-    "evaluate_trips_batch",
     "GPSDeniedMatrixConfig",
     "run_gps_denied_matrix",
     "ScenarioGridConfig",

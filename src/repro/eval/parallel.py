@@ -2,25 +2,30 @@
 
 The serial runner (:mod:`repro.eval.runner`) simulates and estimates trips
 one after another; crowd-sourced workloads (many vehicles per road segment)
-are embarrassingly parallel across trips. :func:`evaluate_trips` runs every
-trip — simulate, record, estimate, score — as an independent task on a
-``concurrent.futures`` pool and merges the per-trip results into one
-:class:`EvalReport`.
+are embarrassingly parallel across trips. :func:`evaluate_trips` groups the
+trips into chunks of ``ParallelConfig.chunk_size``, runs every chunk —
+simulate, record, estimate in one
+:meth:`~repro.core.pipeline.GradientEstimationSystem.estimate_batch` pass,
+score — as an independent task on a ``concurrent.futures`` pool, and merges
+the per-trip results into one :class:`EvalReport`.
 
 Determinism and report equality
 -------------------------------
 Each trip is seeded by ``(cfg.seed, trip_index)`` alone (see
-:func:`repro.eval.runner.simulate_recording`), and merge order is always
-trip-index order, so the report is identical for the ``serial``,
-``thread`` and ``process`` backends — pinned by
-``tests/eval/test_parallel_runner.py``.
+:func:`repro.eval.runner.simulate_recording`), a trip's estimate does not
+depend on the batch it rides in, and merge order is always trip-index
+order, so the report is identical for the ``serial``, ``thread`` and
+``process`` backends and for every chunk size — pinned by
+``tests/eval/test_parallel_runner.py``, ``tests/eval/test_batch_runner.py``
+and the ``evaluate_trips`` goldens in ``tests/core/offline_golden.json``.
 
 Fault tolerance
 ---------------
 A trip that raises degrades the run to a *partial* report instead of
-killing it. A crashed trip is first retried (``ParallelConfig.retries``,
-default one attempt) inline with the same seed — trips are deterministic
-in ``(cfg.seed, index)``, so a retry only helps against environmental
+killing it; the rest of its chunk completes. A crashed trip is first
+retried (``ParallelConfig.retries``, default one attempt) inline with the
+same seed, as a chunk of one — trips are deterministic in
+``(cfg.seed, index)``, so a retry only helps against environmental
 failures (a killed worker process, an OOM, a transient I/O error), and
 each attempt increments ``eval.worker_retried``. A trip that still fails
 is recorded with its error string, the ``eval.worker_failed`` counter
@@ -29,7 +34,7 @@ zero surviving trips raises.
 
 Telemetry
 ---------
-Workers cannot share the caller's registry, so each runs with its own
+Workers cannot share the caller's registry, so each trip runs with its own
 :class:`~repro.obs.Telemetry` and ships back a metrics snapshot; the
 parent folds the snapshots in trip order via
 :meth:`~repro.obs.MetricsRegistry.merge_snapshot`, reproducing exactly the
@@ -66,11 +71,9 @@ from .runner import RunnerConfig, _common_grid, make_system, simulate_recording
 
 __all__ = [
     "ParallelConfig",
-    "BatchEvalConfig",
     "TripOutcome",
     "EvalReport",
     "evaluate_trips",
-    "evaluate_trips_batch",
 ]
 
 _BACKENDS = ("serial", "thread", "process")
@@ -80,6 +83,13 @@ _BACKENDS = ("serial", "thread", "process")
 class ParallelConfig(SerializableConfig):
     """How to fan trips out.
 
+    Trips are grouped into chunks of ``chunk_size``; each chunk is one
+    worker task that simulates its trips and estimates them in a single
+    :meth:`~repro.core.pipeline.GradientEstimationSystem.estimate_batch`
+    pass, paying the pipeline's interpreter and dispatch cost once per
+    chunk instead of once per trip. The default of 1 runs one trip per
+    task.
+
     ``thread`` (default) keeps everything in-process — numpy does the heavy
     lifting, so threads already overlap well and nothing needs pickling.
     ``process`` buys full parallelism for CPU-bound sweeps at the cost of
@@ -88,13 +98,14 @@ class ParallelConfig(SerializableConfig):
     backends are pinned against.
 
     ``retries`` bounds how many times a crashed trip is re-run (inline, in
-    the parent, with the identical seed) before it is recorded as failed;
-    0 disables retrying.
+    the parent, with the identical seed, as a chunk of one) before it is
+    recorded as failed; 0 disables retrying.
     """
 
     max_workers: int = 4
     backend: str = "thread"
     retries: int = 1
+    chunk_size: int = 1
 
     def __post_init__(self) -> None:
         if self.backend not in _BACKENDS:
@@ -106,39 +117,8 @@ class ParallelConfig(SerializableConfig):
             raise ConfigurationError("need at least one worker")
         if self.retries < 0:
             raise ConfigurationError("retries cannot be negative")
-
-
-@dataclass(frozen=True)
-class BatchEvalConfig(SerializableConfig):
-    """How :func:`evaluate_trips_batch` shapes its work units.
-
-    Trips are grouped into chunks of ``chunk_size``; each chunk is one
-    worker task that simulates its trips and then runs a *single*
-    :meth:`~repro.core.pipeline.GradientEstimationSystem.estimate_batch`
-    pass over all of them, amortizing the per-trip interpreter cost that
-    the one-trip-per-task runner pays ``n_trips`` times. ``backend`` and
-    ``retries`` mean exactly what they do on :class:`ParallelConfig`;
-    ``process`` (the default) is the throughput configuration, ``serial``
-    is the in-process reference the others are pinned against.
-    """
-
-    chunk_size: int = 8
-    max_workers: int = 4
-    backend: str = "process"
-    retries: int = 1
-
-    def __post_init__(self) -> None:
-        if self.backend not in _BACKENDS:
-            raise ConfigurationError(
-                f"unknown parallel backend {self.backend!r}; "
-                f"valid options are {list(_BACKENDS)}"
-            )
         if self.chunk_size < 1:
             raise ConfigurationError("chunks need at least one trip")
-        if self.max_workers < 1:
-            raise ConfigurationError("need at least one worker")
-        if self.retries < 0:
-            raise ConfigurationError("retries cannot be negative")
 
 
 @dataclass
@@ -221,42 +201,6 @@ class EvalReport:
         }
 
 
-def _run_trip(
-    profile: RoadProfile,
-    cfg_spec: dict,
-    index: int,
-    s_grid: np.ndarray,
-    truth: np.ndarray,
-    collect_metrics: bool,
-    fault_hook: Callable[[int], None] | None,
-) -> TripOutcome:
-    """Worker body: one trip end to end. Must stay top-level picklable.
-
-    ``cfg_spec`` is the serialized :class:`RunnerConfig` dict — the worker
-    rebuilds the config (and from it the estimation system) from plain
-    data, never from a pickled config object.
-    """
-    if fault_hook is not None:
-        fault_hook(index)
-    cfg = RunnerConfig.from_dict(cfg_spec)
-    worker_tel = Telemetry(f"eval-trip-{index}") if collect_metrics else None
-    _, rec = simulate_recording(profile, cfg, index)
-    system = make_system(profile, cfg, telemetry=worker_tel)
-    result = system.estimate(rec)
-    theta = np.interp(s_grid, result.fused.s, result.fused.theta)
-    return TripOutcome(
-        index=index,
-        ok=True,
-        n_lane_changes=result.n_lane_changes,
-        theta=theta,
-        fused=result.fused,
-        mae_deg=mean_absolute_error(theta, truth, degrees=True),
-        mre=mean_relative_error(theta, truth),
-        metrics=worker_tel.metrics.snapshot() if worker_tel is not None else {},
-        health=result.health.summary() if result.health is not None else {},
-    )
-
-
 def evaluate_trips(
     profile: RoadProfile,
     cfg: RunnerConfig | None = None,
@@ -271,18 +215,19 @@ def evaluate_trips(
     Parameters
     ----------
     parallel:
-        Pool sizing and backend; default is a 4-thread pool. All backends
-        produce the identical report.
+        Pool sizing, backend and chunk size; default is a 4-thread pool
+        running one trip per task. Every backend and chunk size produces
+        the identical report.
     fault_hook:
         Failure injection for tests: called with each trip index before the
         trip runs; raising makes that trip a recorded failure. Must be
         picklable for the ``process`` backend.
     profiler:
         Optional :class:`~repro.obs.profile.Profiler`. Wraps every pipeline
-        stage (``stage.<name>`` sections) plus the ``reference``/``trips``/
-        ``fusion`` phases, and records per-trip throughput in EKF ticks/s.
-        Incompatible with the ``process`` backend — stage wrappers do not
-        cross process boundaries.
+        stage (``stage.<name>`` sections, one call per chunk) plus the
+        ``reference``/``trips``/``fusion`` phases, and records per-trip
+        throughput in EKF ticks/s. Incompatible with the ``process``
+        backend — stage wrappers do not cross process boundaries.
     manifest_path:
         When set, write a self-describing run manifest JSON here
         (:func:`~repro.obs.manifest.write_manifest`): config, seed, git
@@ -303,7 +248,10 @@ def evaluate_trips(
         return profiler.section(name) if profiler is not None else nullcontext()
 
     with prof_install, tel.span(
-        "evaluate_trips", n_trips=cfg.n_trips, backend=par.backend
+        "evaluate_trips",
+        n_trips=cfg.n_trips,
+        backend=par.backend,
+        chunk_size=par.chunk_size,
     ):
         with tel.span("reference"), _section("reference"):
             reference = survey_reference_profile(profile).smoothed(
@@ -316,16 +264,17 @@ def evaluate_trips(
         # count EKF ticks, even if the caller's telemetry is off.
         collect_metrics = tel.active or profiler is not None
         cfg_spec = cfg.to_dict()  # workers rebuild the config from data
-        args = [
-            (profile, cfg_spec, i, s_grid, truth, collect_metrics, fault_hook)
-            for i in range(cfg.n_trips)
-        ]
 
-        outcomes: list[TripOutcome] = []
-        with tel.span("trips"), _section("trips"):
+        def chunk_args(indices: tuple[int, ...]) -> tuple:
+            return (profile, cfg_spec, indices, s_grid, truth, collect_metrics, fault_hook)
+
+        args = [
+            chunk_args(tuple(range(start, min(start + par.chunk_size, cfg.n_trips))))
+            for start in range(0, cfg.n_trips, par.chunk_size)
+        ]
+        with tel.span("trips", n_chunks=len(args)), _section("trips"):
             if par.backend == "serial":
-                for a in args:
-                    outcomes.append(_guarded_trip(a))
+                chunks = [_guarded_chunk(a) for a in args]
             else:
                 pool_cls = (
                     ThreadPoolExecutor
@@ -333,10 +282,10 @@ def evaluate_trips(
                     else ProcessPoolExecutor
                 )
                 with pool_cls(max_workers=par.max_workers) as pool:
-                    outcomes = list(pool.map(_guarded_trip, args))
-        outcomes.sort(key=lambda o: o.index)
+                    chunks = list(pool.map(_guarded_chunk, args))
+        outcomes = [o for chunk in chunks for o in chunk]
 
-        _retry_crashed(outcomes, args, par.retries, tel)
+        _retry_crashed(outcomes, chunk_args, par.retries, tel)
         survivors = _merge_survivors(outcomes, tel, cfg.n_trips)
 
         with tel.span("fusion", n_tracks=len(survivors)), _section("fusion"):
@@ -379,6 +328,7 @@ def evaluate_trips(
                 "kind": "evaluate_trips",
                 "road_profile": profile.name,
                 "backend": par.backend,
+                "chunk_size": par.chunk_size,
                 "aggregate": {
                     "mae_deg": report.mae_deg,
                     "mre": report.mre,
@@ -390,24 +340,19 @@ def evaluate_trips(
     return report
 
 
-def _guarded_trip(packed) -> TripOutcome:
-    """Run one trip, converting any exception into a failure outcome."""
-    index = packed[2]
-    try:
-        return _run_trip(*packed)
-    except Exception as exc:  # noqa: BLE001 - deliberate degrade-not-crash
-        return TripOutcome(index=index, ok=False, error=f"{type(exc).__name__}: {exc}")
-
-
 def _retry_crashed(
-    outcomes: list[TripOutcome], args: list, retries: int, tel: Telemetry
+    outcomes: list[TripOutcome],
+    chunk_args: Callable[[tuple[int, ...]], tuple],
+    retries: int,
+    tel: Telemetry,
 ) -> None:
     """Retry crashed trips before recording them as failures.
 
-    Retries run inline in the parent — same seed, fresh state — so every
-    backend takes the identical path and reports stay pinned equal.
-    ``args`` holds the per-trip :func:`_run_trip` argument tuples indexed
-    by trip; ``outcomes`` is updated in place.
+    Retries run inline in the parent as chunks of one — same seed, fresh
+    state — so every backend and chunk size takes the identical path and
+    reports stay pinned equal. ``chunk_args`` builds the
+    :func:`_run_chunk` arguments for a tuple of trip indices;
+    ``outcomes`` is updated in place.
     """
     if retries <= 0:
         return
@@ -421,7 +366,7 @@ def _retry_crashed(
                 index=outcome.index,
                 error=outcome.error,
             )
-            outcome = _guarded_trip(args[outcome.index])
+            outcome = _guarded_chunk(chunk_args((outcome.index,)))[0]
             if outcome.ok:
                 break
         outcomes[pos] = outcome
@@ -480,12 +425,14 @@ def _run_chunk(
     """Worker body: simulate a chunk of trips, then estimate them in one
     batched pipeline pass. Must stay top-level picklable.
 
-    Simulation failures (including ``fault_hook`` raises) are per-trip
-    outcomes, not chunk failures; surviving recordings go through a single
+    ``cfg_spec`` is the serialized :class:`RunnerConfig` dict — the worker
+    rebuilds the config (and from it the estimation system) from plain
+    data, never from a pickled config object. Simulation failures
+    (including ``fault_hook`` raises) are per-trip outcomes, not chunk
+    failures; surviving recordings go through a single
     :meth:`~repro.core.pipeline.GradientEstimationSystem.estimate_batch`
     call with one telemetry per trip, so each trip's outcome — scores,
-    metrics snapshot, health summary — is identical to the one
-    :func:`_run_trip` would have produced.
+    metrics snapshot, health summary — does not depend on its chunk.
     """
     cfg = RunnerConfig.from_dict(cfg_spec)
     outcomes: dict[int, TripOutcome] = {}
@@ -545,8 +492,9 @@ def _guarded_chunk(packed) -> list[TripOutcome]:
     """Run one chunk, converting a chunk-level crash into per-trip failures.
 
     Per-trip exceptions are already isolated inside :func:`_run_chunk`;
-    this guard only fires on whole-chunk infrastructure failures, and the
-    parent's inline retry then re-runs each affected trip individually.
+    this guard only fires on whole-chunk failures (a config spec that does
+    not rebuild, say), and the parent's inline retry then re-runs each
+    affected trip as a chunk of one.
     """
     indices = packed[2]
     try:
@@ -554,119 +502,3 @@ def _guarded_chunk(packed) -> list[TripOutcome]:
     except Exception as exc:  # noqa: BLE001 - deliberate degrade-not-crash
         error = f"{type(exc).__name__}: {exc}"
         return [TripOutcome(index=i, ok=False, error=error) for i in indices]
-
-
-def evaluate_trips_batch(
-    profile: RoadProfile,
-    cfg: RunnerConfig | None = None,
-    batch: BatchEvalConfig | None = None,
-    telemetry: Telemetry | None = None,
-    fault_hook: Callable[[int], None] | None = None,
-    manifest_path=None,
-) -> EvalReport:
-    """:func:`evaluate_trips`, but chunked over batched pipeline passes.
-
-    Trips are grouped into chunks of ``batch.chunk_size``; each chunk —
-    one worker task — simulates its trips and runs a single
-    :meth:`~repro.core.pipeline.GradientEstimationSystem.estimate_batch`
-    over all of them, so N trips pay one pass of pipeline overhead instead
-    of N. The report is pinned equal to :func:`evaluate_trips` on the same
-    config (same trips, scores, merged telemetry, fused profile) — batch
-    estimation is bit-identical to the serial pipeline, and retries /
-    merge / fusion share the same code.
-
-    Stage-level profiling is not supported here: the profiler's stage
-    wrappers time one trip at a time, which a batched pass does not have —
-    profile the serial runner instead.
-    """
-    cfg = cfg or RunnerConfig()
-    bat = batch or BatchEvalConfig()
-    tel = telemetry if telemetry is not None else NULL_TELEMETRY
-
-    with tel.span(
-        "evaluate_trips_batch",
-        n_trips=cfg.n_trips,
-        backend=bat.backend,
-        chunk_size=bat.chunk_size,
-    ):
-        with tel.span("reference"):
-            reference = survey_reference_profile(profile).smoothed(
-                cfg.reference_smooth_m
-            )
-            s_grid = _common_grid(profile, cfg)
-            truth = np.asarray(reference.gradient_at(s_grid), dtype=float)
-
-        collect_metrics = tel.active
-        cfg_spec = cfg.to_dict()  # workers rebuild the config from data
-        chunks = [
-            tuple(range(start, min(start + bat.chunk_size, cfg.n_trips)))
-            for start in range(0, cfg.n_trips, bat.chunk_size)
-        ]
-        chunk_args = [
-            (profile, cfg_spec, indices, s_grid, truth, collect_metrics, fault_hook)
-            for indices in chunks
-        ]
-        # Per-trip args for the inline retry path (identical to the
-        # serial runner's, so a retried trip reproduces _run_trip exactly).
-        args = [
-            (profile, cfg_spec, i, s_grid, truth, collect_metrics, fault_hook)
-            for i in range(cfg.n_trips)
-        ]
-
-        with tel.span("trips", n_chunks=len(chunks)):
-            if bat.backend == "serial":
-                chunk_outcomes = [_guarded_chunk(a) for a in chunk_args]
-            else:
-                pool_cls = (
-                    ThreadPoolExecutor
-                    if bat.backend == "thread"
-                    else ProcessPoolExecutor
-                )
-                with pool_cls(max_workers=bat.max_workers) as pool:
-                    chunk_outcomes = list(pool.map(_guarded_chunk, chunk_args))
-        outcomes = [o for chunk in chunk_outcomes for o in chunk]
-        outcomes.sort(key=lambda o: o.index)
-        tel.count("eval.batch_chunks", len(chunks))
-
-        _retry_crashed(outcomes, args, bat.retries, tel)
-        survivors = _merge_survivors(outcomes, tel, cfg.n_trips)
-
-        with tel.span("fusion", n_tracks=len(survivors)):
-            fused_theta = _fuse_survivors(survivors, s_grid, tel)
-
-    tel.count("eval.batch_reports")
-    report = EvalReport(
-        profile_name=profile.name,
-        n_trips=cfg.n_trips,
-        s_grid=s_grid,
-        truth=truth,
-        trips=outcomes,
-        fused_theta=fused_theta,
-        mae_deg=mean_absolute_error(fused_theta, truth, degrees=True),
-        mre=mean_relative_error(fused_theta, truth),
-    )
-
-    if manifest_path is not None:
-        from ..obs.manifest import write_manifest
-
-        write_manifest(
-            manifest_path,
-            config=cfg,
-            seed=cfg.seed,
-            metrics=tel.metrics.snapshot() if tel.active else {},
-            health=report.health_summary(),
-            profile=None,
-            extra={
-                "kind": "evaluate_trips_batch",
-                "road_profile": profile.name,
-                "backend": bat.backend,
-                "chunk_size": bat.chunk_size,
-                "aggregate": {
-                    "mae_deg": report.mae_deg,
-                    "mre": report.mre,
-                    "n_trips": report.n_trips,
-                    "n_failed": report.n_failed,
-                },
-            },
-        )
-    return report

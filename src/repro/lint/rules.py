@@ -361,8 +361,8 @@ class StageContractRule(ProjectRule):
     telemetry span labels, which use ``stage.name``. A stage that defines
     ``run_batch`` without ``run`` is equally broken: the batch dispatcher
     treats ``run_batch`` as an optional acceleration whose mandatory
-    fallback is the scalar ``run`` — and the serial pipeline only ever
-    calls ``run``.
+    fallback is the scalar ``run`` — ``run`` is the per-trip contract that
+    ``run_batch`` must reproduce.
     """
 
     code = "RL003"
@@ -420,8 +420,8 @@ class StageContractRule(ProjectRule):
                         f"stage class {node.name} defines run_batch() but "
                         f"no run(); run_batch is an optional batch "
                         f"acceleration — the scalar run() is its mandatory "
-                        f"fallback and the serial pipeline's only entry "
-                        f"point",
+                        f"fallback and the per-trip contract it must "
+                        f"reproduce",
                     )
                 named = _stage_name_attr(node)
                 if named is None or not _has_method(node, "run"):

@@ -31,8 +31,6 @@ METRIC_NAMES = frozenset(
         "ekf_innovation_abs",
         "ekf_ticks",
         "ekf_updates",
-        "eval.batch_chunks",
-        "eval.batch_reports",
         "eval.gps_denied_cells",
         "eval.parallel_reports",
         "eval.trips_simulated",
@@ -52,7 +50,6 @@ METRIC_NAMES = frozenset(
         "lane_change.s_curve_rejections",
         "lane_changes_detected",
         "pipeline.batch.trip_failed",
-        "pipeline.batch.trips",
         "pipeline.cloud_fusion_spacing_mismatch",
         "pipeline.cloud_fusions",
         "pipeline.estimates",

@@ -7,8 +7,9 @@ guesses. The :class:`Profiler` here is that instrument:
   (``perf_counter``), per-thread CPU time (``thread_time``), call counts,
   and optional ``tracemalloc`` allocation deltas;
 * :meth:`Profiler.install` wraps every registered pipeline stage
-  (:data:`~repro.core.stages.STAGE_REGISTRY`) so each ``stage.run`` lands
-  in a ``stage.<name>`` section — no pipeline code changes needed;
+  (:data:`~repro.core.stages.STAGE_REGISTRY`) so each stage call — a
+  batch pass, or a per-trip ``run`` — lands in a ``stage.<name>``
+  section, with no pipeline code changes needed;
 * :func:`~repro.eval.parallel.evaluate_trips` accepts a ``profiler=`` and
   wraps its phases (reference build, per-trip estimation, cloud fusion),
   reporting per-trip throughput in EKF ticks/s.
@@ -215,7 +216,8 @@ class Profiler:
 
 
 class _ProfiledStage:
-    """Transparent stage wrapper timing ``run`` under ``stage.<name>``."""
+    """Transparent stage wrapper timing ``run`` and ``run_batch`` under
+    ``stage.<name>`` (one call per trip or per batch)."""
 
     def __init__(self, inner: object, profiler: Profiler) -> None:
         self._inner = inner
@@ -225,6 +227,12 @@ class _ProfiledStage:
     def run(self, ctx: object) -> object:
         with self._profiler.section(f"stage.{self.name}"):
             return self._inner.run(ctx)
+
+    def run_batch(self, bctx: object) -> None:
+        from ..core.stages import run_stage_batch
+
+        with self._profiler.section(f"stage.{self.name}"):
+            run_stage_batch(self._inner, bctx)
 
     def __getattr__(self, attr: str) -> object:
         return getattr(self._inner, attr)

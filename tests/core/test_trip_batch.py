@@ -13,7 +13,13 @@ import numpy as np
 import pytest
 
 from repro.core import GradientEstimationSystem
-from repro.core.stages import register_stage, run_stage_batch
+from repro.core.stages import (
+    DEFAULT_STAGES,
+    STAGE_REGISTRY,
+    PipelineContext,
+    register_stage,
+    run_stage_batch,
+)
 from repro.core.trip_batch import BATCH_CHANNELS, BatchPipelineContext, TripBatch
 from repro.errors import EstimationError
 from repro.eval.runner import RunnerConfig, make_system, simulate_recordings, system_config
@@ -414,10 +420,32 @@ class TestRunStageBatch:
             config=cfg,
             road_map=profile,
             vehicle=system.vehicle,
-            telemetry=Telemetry("fallback"),
         )
         run_stage_batch(TracingStage(), bctx)
         assert len(calls) == len(fleet)  # looped the scalar run() per trip
+
+    def test_fallback_keeps_the_context_run_returns(self, profile, fleet):
+        # A stage may hand back a new context instead of mutating the one
+        # it got; later stages and the result must see the returned one.
+        class RenamingStage:
+            name = "renaming"
+
+            def run(self, ctx):
+                fused = dataclasses.replace(ctx.fused, name="renamed")
+                return dataclasses.replace(ctx, fused=fused)
+
+        register_stage("renaming", lambda system: RenamingStage())
+        try:
+            cfg = dataclasses.replace(
+                system_config(RunnerConfig(n_trips=4, seed=5)),
+                stages=DEFAULT_STAGES + ("renaming",),
+            )
+            system = GradientEstimationSystem(road_map=profile, config=cfg)
+            batched = system.estimate_batch(fleet[:2])
+        finally:
+            del STAGE_REGISTRY["renaming"]
+        assert batched.errors == {}
+        assert [r.fused.name for r in batched.results] == ["renamed", "renamed"]
 
     def test_fallback_isolates_per_trip_crashes(self, profile, fleet):
         class ExplodingStage:
@@ -427,14 +455,23 @@ class TestRunStageBatch:
                 raise EstimationError("boom")
 
         cfg = system_config(RunnerConfig(n_trips=4, seed=5))
+        tels = [Telemetry(f"explode-{i}") for i in range(len(fleet))]
         bctx = BatchPipelineContext(
             batch=TripBatch(fleet),
-            contexts=[object() for _ in fleet],
+            contexts=[
+                PipelineContext(
+                    recording=rec, config=cfg, road_map=profile, vehicle=None,
+                    telemetry=tel,
+                )
+                for rec, tel in zip(fleet, tels)
+            ],
             config=cfg,
             road_map=profile,
             vehicle=None,
-            telemetry=Telemetry("explode"),
         )
         run_stage_batch(ExplodingStage(), bctx)
         assert set(bctx.failed) == set(range(len(fleet)))
         assert bctx.n_live == 0
+        # Each failure is counted on its own trip's telemetry.
+        for tel in tels:
+            assert tel.metrics.counter("pipeline.batch.trip_failed").value == 1

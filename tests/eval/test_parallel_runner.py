@@ -231,11 +231,20 @@ class TestParallelConfig:
         with pytest.raises(ConfigurationError, match="retries"):
             ParallelConfig(retries=-1)
 
+    def test_bad_chunk_size_rejected(self):
+        with pytest.raises(ConfigurationError, match="chunks"):
+            ParallelConfig(chunk_size=0)
+
     def test_defaults(self):
         par = ParallelConfig()
         assert par.backend == "thread"
         assert par.max_workers == 4
         assert par.retries == 1
+        assert par.chunk_size == 1
+
+    def test_spec_round_trip(self):
+        par = ParallelConfig(chunk_size=4, backend="serial")
+        assert ParallelConfig.from_dict(par.to_dict()) == par
 
 
 class TestConfigTransport:
@@ -252,7 +261,7 @@ class TestConfigTransport:
         # Drive the actual worker body with a spec that went through JSON —
         # exactly what a remote worker would receive — and check the trip
         # outcome matches the in-process run.
-        from repro.eval.parallel import _run_trip
+        from repro.eval.parallel import _run_chunk
         from repro.eval.runner import _common_grid
         from repro.roads import survey_reference_profile
 
@@ -261,7 +270,7 @@ class TestConfigTransport:
         reference = survey_reference_profile(profile).smoothed(CFG.reference_smooth_m)
         s_grid = _common_grid(profile, CFG)
         truth = np.asarray(reference.gradient_at(s_grid), dtype=float)
-        outcome = _run_trip(profile, spec, 0, s_grid, truth, False, None)
+        [outcome] = _run_chunk(profile, spec, (0,), s_grid, truth, False, None)
         assert outcome.ok
         baseline = serial_report.trips[0]
         assert outcome.mae_deg == baseline.mae_deg
@@ -269,11 +278,13 @@ class TestConfigTransport:
         assert np.array_equal(outcome.theta, baseline.theta)
 
     def test_bad_spec_fails_loudly_in_worker(self, profile):
-        from repro.eval.parallel import _guarded_trip
+        from repro.eval.parallel import _guarded_chunk
 
         grid = np.arange(0.0, 100.0, 5.0)
         truth = np.zeros_like(grid)
         bad_spec = {**CFG.to_dict(), "warp_factor": 9}
-        outcome = _guarded_trip((profile, bad_spec, 0, grid, truth, False, None))
-        assert not outcome.ok
-        assert "warp_factor" in outcome.error
+        outcomes = _guarded_chunk((profile, bad_spec, (0, 1), grid, truth, False, None))
+        assert [o.index for o in outcomes] == [0, 1]
+        for outcome in outcomes:
+            assert not outcome.ok
+            assert "warp_factor" in outcome.error

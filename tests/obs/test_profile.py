@@ -102,6 +102,23 @@ class TestInstall:
         } <= set(prof.sections)
         assert all(s.calls == 1 for s in prof.sections.values())
 
+    def test_batched_stages_are_profiled(self, hill_profile, hill_recording):
+        from repro.core.pipeline import GradientEstimationSystem
+
+        prof = Profiler()
+        with prof.install():
+            system = GradientEstimationSystem(hill_profile)
+            batched = system.estimate_batch([hill_recording, hill_recording])
+        assert batched.errors == {}
+        # One section per stage and batch, however many trips it holds.
+        assert sorted(prof.sections) == [
+            "stage.alignment",
+            "stage.ekf_tracks",
+            "stage.fusion",
+            "stage.lane_change",
+        ]
+        assert all(s.calls == 1 for s in prof.sections.values())
+
 
 class TestEvalIntegration:
     def test_evaluate_trips_profiles_stages_and_throughput(self, hill_profile):
@@ -123,6 +140,31 @@ class TestEvalIntegration:
         } <= set(prof.sections)
         assert prof.throughput.ticks > 0
         assert prof.throughput.ticks_per_s > 0.0
+
+    def test_chunked_run_profiles_one_call_per_chunk(self, hill_profile, tmp_path):
+        prof = Profiler()
+        path = tmp_path / "manifest.json"
+        report = evaluate_trips(
+            hill_profile,
+            RunnerConfig(n_trips=2, seed=3),
+            parallel=ParallelConfig(backend="serial", chunk_size=2),
+            profiler=prof,
+            manifest_path=path,
+        )
+        assert report.n_failed == 0
+        stages = {n: s for n, s in prof.sections.items() if n.startswith("stage.")}
+        assert set(stages) == {
+            "stage.alignment",
+            "stage.lane_change",
+            "stage.ekf_tracks",
+            "stage.fusion",
+        }
+        assert all(s.calls == 1 for s in stages.values())
+        assert prof.throughput.n_trips == 2
+        assert prof.throughput.ticks > 0
+        manifest = json.loads(path.read_text())
+        assert manifest["chunk_size"] == 2
+        assert set(manifest["profile"]["sections"]) >= set(stages)
 
     def test_profiler_output_bit_identical(self, hill_profile):
         cfg = RunnerConfig(n_trips=1, seed=3)
