@@ -18,7 +18,7 @@ unboxed with ``tolist()`` once) so a tick pays for no method calls,
 attribute traffic or numpy scalars; the RTS backward pass
 (:func:`_rts_backward`) runs on plain floats the same way. The streaming
 replay (:meth:`~repro.core.online.StreamingGradientEstimator.run`) runs
-its nominal stretches through the same forward pass.
+its stretches between mode decisions through the same forward pass.
 ``tests/core/test_forward_pass.py`` pins the forward pass bit for bit to a
 loop over the core, so the two spellings cannot drift apart. The
 vectorized kernel in :mod:`repro.core.batch` writes the same equations
@@ -109,7 +109,7 @@ class GradientFilterCore:
     writing the final state back. It has two callers: the offline engine
     (:func:`estimate_track`, a whole track) and the streaming replay
     (:meth:`~repro.core.online.StreamingGradientEstimator.run`, each
-    nominal stretch between outages). A property test pins the forward
+    stretch between mode decisions). A property test pins the forward
     pass bit for bit to a loop over the core, so streaming and offline
     outputs stay identical.
 
@@ -412,8 +412,9 @@ def _forward_pass(
     Two callers: :func:`estimate_track` runs a whole track from a fresh
     core, and the streaming replay
     (:meth:`~repro.core.online.StreamingGradientEstimator.run`) runs each
-    nominal stretch from the streaming core's current state, without
-    events.
+    stretch between mode decisions from the streaming core's current
+    state, without events (it fuses a dead-reckoning stretch's map
+    updates itself, between calls).
     """
     dt = core.dt
     specific_force = core.specific_force

@@ -288,6 +288,6 @@ class BatchPipelineContext:
             tel.count("pipeline.batch.trip_failed")
             tel.event(
                 "pipeline.batch.trip_failed",
-                position=pos,
+                batch_position=pos,
                 error=f"{type(exc).__name__}: {exc}",
             )

@@ -38,7 +38,9 @@ Workers cannot share the caller's registry, so each trip runs with its own
 :class:`~repro.obs.Telemetry` and ships back a metrics snapshot; the
 parent folds the snapshots in trip order via
 :meth:`~repro.obs.MetricsRegistry.merge_snapshot`, reproducing exactly the
-counters a serial run would have accumulated.
+counters a serial run would have accumulated. A trip that fails inside the
+pipeline ships its snapshot too (the stages it ran before failing counted
+on it); a trip that fails in simulation has none.
 
 Config transport
 ----------------
@@ -375,16 +377,22 @@ def _retry_crashed(
 def _merge_survivors(
     outcomes: list[TripOutcome], tel: Telemetry, n_trips: int
 ) -> list[TripOutcome]:
-    """Merge telemetry in trip order and count failures; raise if none survive."""
+    """Merge telemetry in trip order and count failures; raise if none survive.
+
+    Every final outcome's telemetry is merged, failed trips' included: a
+    trip that failed inside the pipeline ran (and counted) stages first.
+    ``outcomes`` already holds each retried trip's last attempt only, so
+    nothing is counted twice.
+    """
     survivors: list[TripOutcome] = []
     for outcome in outcomes:
+        # Merge only into a *live* registry: with profiling on but
+        # telemetry off, tel is the shared NULL_TELEMETRY and must never
+        # accumulate state.
+        if tel.active and outcome.metrics:
+            tel.metrics.merge_snapshot(outcome.metrics)
         if outcome.ok:
             survivors.append(outcome)
-            # Merge only into a *live* registry: with profiling on but
-            # telemetry off, tel is the shared NULL_TELEMETRY and must
-            # never accumulate state.
-            if tel.active and outcome.metrics:
-                tel.metrics.merge_snapshot(outcome.metrics)
         else:
             tel.count("eval.worker_failed")
             tel.event(
@@ -459,17 +467,21 @@ def _run_chunk(
             [rec for _, rec in live], telemetries=tels
         )
         for pos, (index, _) in enumerate(live):
+            worker_tel = tels[pos]
+            # A trip that failed inside the pipeline still ran stages;
+            # its telemetry ships back with the failure.
+            metrics = worker_tel.metrics.snapshot() if worker_tel is not None else {}
             error = estimates.errors.get(pos)
             if error is not None:
                 outcomes[index] = TripOutcome(
                     index=index,
                     ok=False,
                     error=f"{type(error).__name__}: {error}",
+                    metrics=metrics,
                 )
                 continue
             result = estimates.results[pos]
             theta = np.interp(s_grid, result.fused.s, result.fused.theta)
-            worker_tel = tels[pos]
             outcomes[index] = TripOutcome(
                 index=index,
                 ok=True,
@@ -478,9 +490,7 @@ def _run_chunk(
                 fused=result.fused,
                 mae_deg=mean_absolute_error(theta, truth, degrees=True),
                 mre=mean_relative_error(theta, truth),
-                metrics=worker_tel.metrics.snapshot()
-                if worker_tel is not None
-                else {},
+                metrics=metrics,
                 health=result.health.summary()
                 if result.health is not None
                 else {},

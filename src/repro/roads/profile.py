@@ -257,6 +257,10 @@ class RoadProfile:
         return float(self.s[-1])
 
     def _interp(self, table: np.ndarray, s: float | np.ndarray):
+        if isinstance(s, float):
+            # The per-tick caller (dead reckoning) asks for one float: clamp
+            # it in Python and skip the 1-element array round trip.
+            return float(np.interp(min(max(s, 0.0), self.length), self.s, table))
         scalar = np.isscalar(s)
         s_arr = np.clip(np.atleast_1d(np.asarray(s, dtype=float)), 0.0, self.length)
         out = np.interp(s_arr, self.s, table)

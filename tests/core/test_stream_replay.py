@@ -1,12 +1,13 @@
 """``run()`` is a ``push()`` loop, bit for bit, on a faster route.
 
-``StreamingGradientEstimator.run`` replays nominal stretches through the
-offline forward pass and hands every other tick to ``_tick``. This suite
-pins the replay to a ``push()`` per sample over drawn inputs -- outages,
-fix quality, non-finite samples, bootstrap, split calls, telemetry and a
-health monitor -- comparing outputs, the full end state, counters and the
-logged events. A mechanism test counts ``_tick`` calls so a refactor cannot
-fall back to the per-tick path unnoticed.
+``StreamingGradientEstimator.run`` replays stretches of every outage mode
+through the offline forward pass and hands only decision ticks to
+``_tick``. This suite pins the replay to a ``push()`` per sample over
+drawn inputs -- outages, fix quality, non-finite samples, bootstrap, split
+calls, telemetry and a health monitor -- comparing outputs, the full end
+state, counters and the logged events; deterministic cases pin the edges
+of dead-reckoning stretches. A mechanism test records the ``_tick`` calls
+so a refactor cannot fall back to the per-tick path unnoticed.
 """
 
 from __future__ import annotations
@@ -16,11 +17,12 @@ import itertools
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.constants import GRAVITY
-from repro.core.dead_reckoning import GPSDeniedConfig
+from repro.core.dead_reckoning import DeadReckoningConfig, GPSDeniedConfig
 from repro.core.online import StreamingGradientEstimator
 from repro.obs import HealthConfig, Telemetry, get_logger
 from repro.roads import SectionSpec, build_profile
@@ -99,6 +101,9 @@ def replays(draw):
             map_update_interval_ticks=draw(st.integers(1, 10)),
             use_dead_reckoning=draw(st.booleans()),
             use_prior_map=draw(st.booleans()),
+            dead_reckoning=DeadReckoningConfig(
+                match_interval_ticks=draw(st.integers(1, 30))
+            ),
         )
     return {
         "accel": accel,
@@ -169,29 +174,37 @@ def test_run_equals_push_loop(case):
     assert _via_run(case) == _via_push(case)
 
 
-def _count_ticks(est: StreamingGradientEstimator) -> list[int]:
-    calls = [0]
+def _record_ticks(est: StreamingGradientEstimator) -> list[tuple]:
+    """Wrap ``est._tick``; each call appends ``(tick, mode before, usable
+    fix, transitions made)``."""
+    seen = []
     tick = est._tick
+    gd = est._gd
 
-    def counting(*args):
-        calls[0] += 1
-        return tick(*args)
+    def recording(accel, v_meas, gyro=0.0, fix_quality=None):
+        before = (est.ticks, est.mode, est.mode_transitions)
+        usable = v_meas is not None and v_meas == v_meas
+        if usable and gd is not None and fix_quality is not None:
+            usable = not fix_quality <= gd.fix_quality_bad
+        updated = tick(accel, v_meas, gyro, fix_quality)
+        seen.append((before[0], before[1], usable, est.mode_transitions - before[2]))
+        return updated
 
-    est._tick = counting
-    return calls
+    est._tick = recording
+    return seen
 
 
 class TestFastPathTaken:
-    """No timing: count the per-tick fallbacks ``run()`` makes."""
+    """No timing: record the per-tick fallbacks ``run()`` makes."""
 
     def test_nominal_replay_makes_no_per_tick_calls(self):
         case = build_case("gps_denied_off")
         est = StreamingGradientEstimator(
             DT, v0=12.0, measurement_std=0.3, config=case.kwargs["config"]
         )
-        calls = _count_ticks(est)
+        seen = _record_ticks(est)
         est.run(case.accel, case.v_meas)
-        assert calls[0] == 0
+        assert seen == []
         assert est.ticks == len(case.accel)
 
     def test_outage_replay_ticks_only_outside_nominal(self):
@@ -200,14 +213,91 @@ class TestFastPathTaken:
         est = StreamingGradientEstimator(
             DT, v0=12.0, telemetry=tel, **case.kwargs
         )
-        calls = _count_ticks(est)
+        seen = _record_ticks(est)
         est.run(case.accel, case.v_meas, gyro=case.gyro)
         counters = tel.metrics.snapshot()["counters"]
-        outside = sum(
-            counters[f"stream.mode.{m}"]
-            for m in ("coasting", "dead_reckoning", "reacquiring")
-        )
-        assert counters["stream.mode.transitions"] == 4  # one outage episode
-        # The reacquiring -> nominal tick starts outside nominal as well.
-        assert calls[0] == outside + 1
-        assert counters["stream.mode.nominal"] == est.ticks - outside
+        transitions = counters["stream.mode.transitions"]
+        assert transitions == 4  # one outage episode
+        assert counters["stream.mode.dead_reckoning"] > 0
+        assert counters["stream.map_updates"] > 0
+        # Every per-tick call is a decision: a transition (the one into
+        # coasting is the only call that starts in nominal), or a usable
+        # fix the mode machine weighs outside nominal.
+        for tick, mode, usable, made in seen:
+            assert made > 0 or (usable and mode != "nominal"), (tick, mode)
+        assert 0 < len(seen) <= transitions + est._gd.reacquire_good_ticks
+
+
+def _outage_case(gaps, cut=None, spikes=()) -> dict:
+    """A seeded 600-tick replay with a fix every 5 ticks, NaN over each
+    ``(start, stop)`` gap, dead reckoning on ``ROAD`` and prior-map
+    updates; the road matches (every 7 dry ticks) and map updates (every
+    5) fall on known ticks."""
+    n = 600
+    rng = np.random.default_rng(7)
+    accel = GRAVITY * np.sin(0.03) + rng.normal(0.0, 0.05, n)
+    v_meas = np.full(n, np.nan)
+    v_meas[::5] = 12.0 + rng.normal(0.0, 0.05, n)[::5]
+    for start, stop in gaps:
+        v_meas[start:stop] = np.nan
+    for k, value in spikes:
+        accel[k] = value
+    gd = GPSDeniedConfig(
+        enabled=True,
+        outage_enter_ticks=10,
+        dead_reckoning_after_ticks=20,
+        reacquire_good_ticks=2,
+        map_update_interval_ticks=5,
+        dead_reckoning=DeadReckoningConfig(match_interval_ticks=7),
+    )
+    return {
+        "accel": accel,
+        "v_meas": v_meas,
+        "gyro": rng.normal(0.0, 0.01, n),
+        "fix_quality": None,
+        "kwargs": {
+            "v0": 12.0, "gps_denied": gd, "prior_map": PRIOR, "road": ROAD,
+            "health": None,
+        },
+        "telemetry": True,
+        "split": cut,
+    }
+
+
+class TestDeadReckoningStretches:
+    """Deterministic ``run()``-equals-``push()`` pins at the boundaries of
+    dead-reckoning stretches. The gap after the fix at tick 100 coasts
+    from tick 110 and dead-reckons from tick 120 (dry count 20) to 199."""
+
+    @pytest.mark.parametrize("cut", [135, 136])
+    def test_split_at_an_event_tick(self, cut):
+        # Tick 135 has dry count 35: a road match and a map update.
+        case = _outage_case([(101, 200)], cut=cut)
+        got = _via_run(case)
+        assert got == _via_push(case)
+        assert got["counters"]["stream.map_updates"] == 16  # dry 20, 25, ..., 95
+
+    def test_accel_faults_inside_a_stretch(self):
+        # A NaN sample ends the stretch and recovers per tick; a finite
+        # 1e300 sample overflows the filter, so its stretch is rolled back
+        # and replayed per tick.
+        case = _outage_case([(101, 200)], spikes=[(150, np.nan), (170, 1e300)])
+        est, tel, log = _estimator(case)
+        results = []
+        stretch = est._stretch
+
+        def recording(*args):
+            results.append((est.mode, stretch(*args)))
+            return results[-1][1]
+
+        est._stretch = recording
+        theta = est.run(case["accel"], case["v_meas"], gyro=case["gyro"])
+        assert ("dead_reckoning", False) in results
+        assert est.recoveries > 0
+        assert _observed(est, theta, tel, log) == _via_push(case)
+
+    def test_two_outage_episodes(self):
+        case = _outage_case([(101, 200), (301, 420)])
+        got = _via_run(case)
+        assert got == _via_push(case)
+        assert got["counters"]["stream.mode.transitions"] == 8

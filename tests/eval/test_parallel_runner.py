@@ -14,10 +14,12 @@ Two contracts are pinned:
 from __future__ import annotations
 
 import json
+import logging
 
 import numpy as np
 import pytest
 
+from repro.core.stages import DEFAULT_STAGES, STAGE_REGISTRY, register_stage
 from repro.errors import ConfigurationError, EstimationError
 from repro.eval import (
     EvalReport,
@@ -216,6 +218,95 @@ class TestRetries:
         )
         assert report.n_failed == 1
         assert tel.metrics.counter("eval.worker_retried").value == 0
+
+
+class _FailOnTrips:
+    """A stage that raises on the trips whose telemetry carries one of
+    ``names`` (evaluate_trips names each trip's ``eval-trip-<index>``)."""
+
+    name = "fail_on_trips"
+
+    def __init__(self, names: set[str]) -> None:
+        self.names = names
+
+    def run(self, ctx):
+        if ctx.telemetry.name in self.names:
+            raise EstimationError(f"injected failure on {ctx.telemetry.name}")
+        return ctx
+
+
+class _EventCapture(logging.Handler):
+    """Collects the structured fields of every event a logger emits."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.events: list[tuple[str, dict]] = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        self.events.append((record.getMessage(), getattr(record, "fields", {})))
+
+
+@pytest.fixture
+def failing_trips():
+    """RunnerConfig whose pipeline fails trips 1 and 2 after fusion."""
+    register_stage(
+        "fail_on_trips", lambda system: _FailOnTrips({"eval-trip-1", "eval-trip-2"})
+    )
+    try:
+        yield RunnerConfig(n_trips=4, seed=4, stages=DEFAULT_STAGES + ("fail_on_trips",))
+    finally:
+        del STAGE_REGISTRY["fail_on_trips"]
+
+
+class TestPipelineFailureTelemetry:
+    def test_failed_trips_telemetry_merged(self, profile, failing_trips):
+        clean = Telemetry("clean")
+        evaluate_trips(
+            profile,
+            RunnerConfig(n_trips=4, seed=4),
+            ParallelConfig(backend="serial"),
+            telemetry=clean,
+        )
+        tel = Telemetry("pipeline-failures")
+        report = evaluate_trips(
+            profile, failing_trips, ParallelConfig(backend="serial"), telemetry=tel
+        )
+        assert [t.ok for t in report.trips] == [True, False, False, True]
+        counters = tel.metrics.snapshot()["counters"]
+        # Each failed trip is merged once, from its last (retried) attempt.
+        assert counters["eval.worker_retried"] == 2
+        assert counters["eval.worker_failed"] == 2
+        assert counters["pipeline.batch.trip_failed"] == 2
+        # The failing stage runs after the EKF, so all four trips count.
+        assert counters["ekf_ticks"] == clean.metrics.snapshot()["counters"]["ekf_ticks"]
+
+    @pytest.mark.parametrize(
+        "chunk_size, positions", [(1, {1: 0, 2: 0}), (3, {1: 1, 2: 2})]
+    )
+    def test_trip_failed_event_logs_batch_position(
+        self, profile, failing_trips, chunk_size, positions
+    ):
+        captures = {}
+        for index in positions:
+            captures[index] = _EventCapture()
+            logging.getLogger(f"repro.obs.eval-trip-{index}").addHandler(captures[index])
+        try:
+            evaluate_trips(
+                profile,
+                failing_trips,
+                ParallelConfig(backend="serial", chunk_size=chunk_size, retries=0),
+                telemetry=Telemetry(f"positions-{chunk_size}"),
+            )
+        finally:
+            for index, capture in captures.items():
+                logging.getLogger(f"repro.obs.eval-trip-{index}").removeHandler(capture)
+        for index, want in positions.items():
+            [fields] = [
+                f for name, f in captures[index].events
+                if name == "pipeline.batch.trip_failed"
+            ]
+            assert fields["batch_position"] == want
+            assert "position" not in fields
 
 
 class TestParallelConfig:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import GeometryError, RouteError
+from repro.roads import SectionSpec, build_profile
 from repro.roads.elevation import ConstantSlopeField
 from repro.roads.geometry import GeoPoint, LocalFrame, Polyline
 from repro.roads.profile import RoadProfile, RoadSection
@@ -76,6 +77,32 @@ class TestQueries:
         arr = prof.grade_at(np.array([100.0, 200.0]))
         assert isinstance(scalar, float)
         assert arr.shape == (2,)
+
+    @pytest.mark.parametrize(
+        "query", ["grade_at", "elevation_at", "heading_at", "curvature_at"]
+    )
+    def test_scalar_path_matches_array_path(self, query):
+        # A Python float skips the array round trip; the clamp and the
+        # interpolation must agree with the array path bit for bit.
+        prof = build_profile(
+            [
+                SectionSpec.from_degrees(300.0, 2.0, 1, 30.0),
+                SectionSpec.from_degrees(200.0, -1.5, 1, -45.0),
+            ],
+            name="curvy",
+        )
+        length = prof.length
+        points = [
+            math.nan, math.inf, -math.inf, -5.0, -0.0, 0.0, 123.456,
+            length, length + 1.0, 1e300,
+        ]
+        lookup = getattr(prof, query)
+        array = lookup(np.array(points))
+        for s, want in zip(points, array):
+            got = lookup(s)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == want.tobytes(), s
+            assert lookup(np.float64(s)) == got or math.isnan(got)
 
     def test_position_at(self):
         prof = straight_profile()
