@@ -397,7 +397,6 @@ class StreamingGradientEstimator:
 
     def _gd_track(self, gyro: float) -> None:
         """Post-update along-track tracking, DR stepping, map fusion."""
-        gd = self._gd
         core = self._core
         dr = self._dr
         v = core.v
@@ -409,26 +408,28 @@ class StreamingGradientEstimator:
             if gyro != gyro:  # NaN gyro sample: hold heading this tick
                 gyro = 0.0
             dr.predict(v, gyro)
-            self._s_est = dr.s
-            dry = self._dry_ticks
-            if (
-                self._road is not None
-                and dry % gd.dead_reckoning.match_interval_ticks == 0
-            ):
-                dr.match_road(self._road)
-                self._s_est = dr.s
-            if self._map is not None and dry % gd.map_update_interval_ticks == 0:
-                theta_map, r_eff = self._map.measurement(dr.s, dr.p_ss)
-                core.update_theta(theta_map, r_eff)
+            if self._dr_event(dr, self._dry_ticks):
                 self._map_update_count += 1
                 if self._obs is not None:
                     self._c_map_updates.inc()
+            self._s_est = dr.s
         else:
             # Outside dead reckoning the filter speed is the best odometer;
             # pure bookkeeping, never touches the filter state.
             self._s_est += v * self.dt
         if self._obs is not None:
             self._c_mode[self._mode].inc()
+
+    def _dr_event(self, dr: DeadReckoner, dry: int) -> bool:
+        """The road match and map update due at dry count ``dry``, after
+        the dead reckoner stepped; returns whether a map update was fused."""
+        gd = self._gd
+        if self._road is not None and dry % gd.dead_reckoning.match_interval_ticks == 0:
+            dr.match_road(self._road)
+        if self._map is not None and dry % gd.map_update_interval_ticks == 0:
+            self._core.update_theta(*self._map.measurement(dr.s, dr.p_ss))
+            return True
+        return False
 
     def _set_mode(self, mode: int) -> None:
         previous = self._mode
@@ -658,40 +659,38 @@ class StreamingGradientEstimator:
         saved = (core.v, core.theta, core.p11, core.p12, core.p22, core.b, core.c, core.d)
         mode = self._mode
         dr = self._dr if mode == _DEAD_RECKONING else None
+        match = every = 0  # event spacing in dry ticks (0 = no such event)
         if dr is not None:
             dr_saved = (dr.s, dr.psi, dr.p_ss, dr.p_sp, dr.p_pp, dr.matches)
+            gd = self._gd
+            if self._road is not None:
+                match = gd.dead_reckoning.match_interval_ticks
+            if self._map is not None:
+                every = gd.map_update_interval_ticks
+            off = i - 1 - self._dry_ticks  # the tick k has dry count k - off
         map_updates = 0
+        theta = v_out = None
         try:
-            if dr is None:
-                fwd = _forward_pass(core, a_list[i:j], ze_list[i:j])
-                theta, v_out = fwd.theta, fwd.v
-            else:
-                gd = self._gd
-                road, prior = self._road, self._map
-                match = gd.dead_reckoning.match_interval_ticks if road is not None else 0
-                every = gd.map_update_interval_ticks if prior is not None else 0
-                off = i - 1 - self._dry_ticks  # the tick k has dry count k - off
-                theta, v_out = [], []
-                k = i
-                while k < j:
-                    end = j
-                    for step in (match, every):
-                        if step:
-                            end = min(end, k + 1 + (off - k) % step)
-                    fwd = _forward_pass(core, a_list[k:end], ze_list[k:end])
+            k = i
+            while k < j:
+                end = j
+                for step in (match, every):
+                    if step:
+                        end = min(end, k + 1 + (off - k) % step)
+                fwd = _forward_pass(core, a_list[k:end], ze_list[k:end])
+                if dr is not None:
                     for v, g in zip(fwd.v, g_list[k:end]):
                         dr.predict(v, 0.0 if g != g else g)
-                    dry = end - 1 - off
-                    if match and dry % match == 0:
-                        dr.match_road(road)
-                    if every and dry % every == 0:
-                        core.update_theta(*prior.measurement(dr.s, dr.p_ss))
+                    if self._dr_event(dr, end - 1 - off):
                         fwd.theta[-1] = core.theta
                         fwd.v[-1] = core.v
                         map_updates += 1
+                if theta is None:
+                    theta, v_out = fwd.theta, fwd.v
+                else:
                     theta += fwd.theta
                     v_out += fwd.v
-                    k = end
+                k = end
         except ValueError:
             # math.sin(inf): a tick overflowed theta and the pass went on
             # where _tick would have recovered.

@@ -216,10 +216,16 @@ class TestFastPathTaken:
         seen = _record_ticks(est)
         est.run(case.accel, case.v_meas, gyro=case.gyro)
         counters = tel.metrics.snapshot()["counters"]
+        outside = sum(
+            counters[f"stream.mode.{m}"]
+            for m in ("coasting", "dead_reckoning", "reacquiring")
+        )
         transitions = counters["stream.mode.transitions"]
         assert transitions == 4  # one outage episode
         assert counters["stream.mode.dead_reckoning"] > 0
         assert counters["stream.map_updates"] > 0
+        # The four mode counters account for every tick.
+        assert counters["stream.mode.nominal"] == est.ticks - outside
         # Every per-tick call is a decision: a transition (the one into
         # coasting is the only call that starts in nominal), or a usable
         # fix the mode machine weighs outside nominal.
