@@ -59,7 +59,7 @@ from .gradient_ekf import (
     estimate_track,
     measurements_on_timebase,
 )
-from .track import GradientTrack
+from .track import GradientTrack, readonly_view
 
 __all__ = ["BATCH_MIN_TRACKS", "estimate_tracks_batch", "runs_vectorized"]
 
@@ -412,6 +412,11 @@ def _estimate_tracks_vectorized(
             final_p[1, done] = p12[done]
             final_p[2, done] = p22[done]
 
+    # The padded inputs are dead past the loop; free them before the reruns,
+    # tails and unpack allocate. The zip and the last tick's rows (a_long is
+    # a row of a_in under the kinematic model) hold them too.
+    del ticks, a_meas, z, r_row, a_long, a_in, z_in, r_in, update_mask
+
     # -- tails and reruns, before any sink sees a track ---------------------
     # A held track's update adds exact zeros only while its predicted state
     # is finite; otherwise inf / inf or 0 * inf leaves a NaN theta or v at
@@ -514,8 +519,8 @@ def _estimate_tracks_vectorized(
         tracks.append(
             GradientTrack(
                 name=name_k or velocities[k].name,
-                t=ts[k].copy(),
-                s=ss[k].copy(),
+                t=readonly_view(ts[k]),
+                s=readonly_view(ss[k]),
                 theta=theta_k,
                 variance=var_k,
                 v=v_k,

@@ -40,7 +40,7 @@ from ..errors import EstimationError
 from ..sensors.base import SampledSignal
 from ..vehicle.params import DEFAULT_VEHICLE, VehicleParams
 from .gradient_ekf import GradientEKFConfig, measurements_on_timebase
-from .track import GradientTrack
+from .track import GradientTrack, readonly_view
 
 __all__ = ["BiasEKFConfig", "estimate_track_bias_augmented"]
 
@@ -186,8 +186,8 @@ def estimate_track_bias_augmented(
 
     return GradientTrack(
         name=name or f"{velocity.name}+bias",
-        t=t.copy(),
-        s=s.copy(),
+        t=readonly_view(t),
+        s=readonly_view(s),
         theta=theta_out,
         variance=var_out,
         v=v_out,

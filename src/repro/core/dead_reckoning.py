@@ -126,8 +126,14 @@ class DeadReckoner:
         return self.p_pp
 
     def predict(self, v: float, gyro_z: float) -> None:
-        """Advance one tick on speed [m/s] and gyro yaw rate [rad/s]."""
+        """Advance one tick on speed [m/s] and gyro yaw rate [rad/s].
+
+        A non-finite yaw rate (a NaN or saturated gyro sample) holds the
+        heading for this tick.
+        """
         dt = self.dt
+        if not math.isfinite(gyro_z):
+            gyro_z = 0.0
         self.s += v * dt
         self.psi = _wrap(self.psi + gyro_z * dt)
         # Error dynamics are identity to first order; only noise grows.

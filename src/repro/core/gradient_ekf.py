@@ -42,7 +42,7 @@ from ..errors import DegradedInputError, EstimationError
 from ..obs import Telemetry
 from ..sensors.base import SampledSignal
 from ..vehicle.params import DEFAULT_VEHICLE, VehicleParams
-from .track import GradientTrack
+from .track import GradientTrack, readonly_view
 
 __all__ = [
     "GradientEKFConfig",
@@ -264,16 +264,6 @@ class GradientFilterCore:
         self.p11 *= factor
         self.p12 *= factor
         self.p22 *= factor
-
-    def step(self, a_meas: float, z: float | None = None) -> float | None:
-        """Predict, then update when a measurement arrived this tick.
-
-        Returns the innovation, or ``None`` on a prediction-only tick.
-        """
-        self.predict(a_meas)
-        if z is None or z != z:  # None or NaN: no measurement this tick
-            return None
-        return self.update(z)
 
 
 def measurements_on_timebase(
@@ -675,8 +665,8 @@ def estimate_track(
         }
     return GradientTrack(
         name=track_name,
-        t=t.copy(),
-        s=s.copy(),
+        t=readonly_view(t),
+        s=readonly_view(s),
         theta=theta_arr,
         variance=var_arr,
         v=v_arr,

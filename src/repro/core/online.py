@@ -405,8 +405,6 @@ class StreamingGradientEstimator:
             # odometry advances on it, not on the poisoned state.
             v = self._ok_v
         if dr is not None and self._mode == _DEAD_RECKONING:
-            if gyro != gyro:  # NaN gyro sample: hold heading this tick
-                gyro = 0.0
             dr.predict(v, gyro)
             if self._dr_event(dr, self._dry_ticks):
                 self._map_update_count += 1
@@ -680,7 +678,7 @@ class StreamingGradientEstimator:
                 fwd = _forward_pass(core, a_list[k:end], ze_list[k:end])
                 if dr is not None:
                     for v, g in zip(fwd.v, g_list[k:end]):
-                        dr.predict(v, 0.0 if g != g else g)
+                        dr.predict(v, g)
                     if self._dr_event(dr, end - 1 - off):
                         fwd.theta[-1] = core.theta
                         fwd.v[-1] = core.v

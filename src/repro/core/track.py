@@ -14,7 +14,20 @@ import numpy as np
 
 from ..errors import EstimationError
 
-__all__ = ["GradientTrack"]
+__all__ = ["GradientTrack", "readonly_view"]
+
+
+def readonly_view(a: np.ndarray) -> np.ndarray:
+    """A read-only view of ``a``: shares its memory, leaves ``a`` writable.
+
+    The EKF engines build a track's ``t`` and ``s`` this way, so a trip's
+    tracks share one timebase and one arc-length array with their inputs,
+    and a stray in-place write to one track raises instead of changing its
+    siblings.
+    """
+    view = a.view()
+    view.flags.writeable = False
+    return view
 
 
 @dataclass
@@ -30,6 +43,10 @@ class GradientTrack:
     s:
         Estimated arc length along the route [m] (may be non-monotonic at
         noise level; resampling handles that).
+
+        The EKF engines hand out ``t`` and ``s`` as read-only views
+        (:func:`readonly_view`) shared with the trip's sibling tracks and
+        with the caller's input arrays; copy them before writing.
     theta:
         Estimated road gradient [rad].
     variance:

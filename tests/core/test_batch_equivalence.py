@@ -468,6 +468,45 @@ class TestLiveWidthRouting:
         assert tails == []
 
 
+def _assert_shares_inputs(tracks, accels, arcs):
+    """Each track's ``t`` and ``s`` are read-only views of its inputs, and
+    the inputs stay writable."""
+    for track, accel, arc in zip(tracks, accels, arcs):
+        for got, given in ((track.t, accel.t), (track.s, arc)):
+            assert np.shares_memory(got, given)
+            with pytest.raises(ValueError):
+                got[0] = 0.0
+            assert given.flags.writeable
+
+
+class TestSharedInputs:
+    """Tracks hold no copies of the timebase and arc length they were given,
+    on either kernel, including the scalar tails of a ragged call."""
+
+    def test_scalar_call_of_one_trip(self):
+        # A trip's four sources on one accel timebase and one arc length,
+        # as the track stage passes them.
+        accels, velocities, arcs = _mixed_batch(0)
+        accel, arc = accels[1], arcs[1]
+        tracks = estimate_tracks_batch([accel] * 4, velocities, [arc] * 4)
+        assert {t.meta["engine"] for t in tracks} == {"scalar"}
+        _assert_shares_inputs(tracks, [accel] * 4, [arc] * 4)
+        assert all(np.shares_memory(t.t, tracks[0].t) for t in tracks)
+
+    def test_vectorized_call(self):
+        inputs = [_synthetic_track(300, 0.02, seed=k) for k in range(BATCH_MIN_TRACKS)]
+        accels, velocities, arcs = (list(col) for col in zip(*inputs))
+        tracks = estimate_tracks_batch(accels, velocities, arcs)
+        assert {t.meta["engine"] for t in tracks} == {"batch"}
+        _assert_shares_inputs(tracks, accels, arcs)
+
+    def test_ragged_call_with_scalar_tails(self):
+        accels, velocities, arcs = _ragged_wide_batch(BATCH_MIN_TRACKS + 8)
+        tracks = estimate_tracks_batch(accels, velocities, arcs)
+        assert {t.meta["engine"] for t in tracks} == {"batch"}
+        _assert_shares_inputs(tracks, accels, arcs)
+
+
 class TestRouting:
     def test_threshold_sits_between_trip_and_fleet_widths(self):
         # One trip's four sources run scalar; an 8-trip store chunk (32

@@ -89,6 +89,13 @@ class TestHybridObservability:
         track = estimate_track_bias_augmented(accel, vel, s, barometer=baro)
         assert track.name == "speedometer+bias"
 
+    def test_track_shares_its_inputs(self):
+        _, s, _, accel, vel, baro = synthetic_drive(n=500)
+        track = estimate_track_bias_augmented(accel, vel, s, barometer=baro)
+        for got, given in ((track.t, accel.t), (track.s, s)):
+            assert np.shares_memory(got, given)
+            assert not got.flags.writeable and given.flags.writeable
+
 
 class TestSmoothedTracks:
     """RTS option on the 2-state gradient EKF (extension)."""

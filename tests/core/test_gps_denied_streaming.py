@@ -309,3 +309,36 @@ class TestNonFiniteAccelBeforeOutage:
     def test_run(self):
         est, prior, accel, z = self._case()
         self._check(est, prior, est.run(accel, z))
+
+
+class TestNonFiniteGyroWhileDeadReckoning:
+    """A NaN or saturated (±inf) gyro sample while dead reckoning holds the
+    heading for that tick, exactly like a zero yaw rate (``run()`` is pinned
+    to ``push()`` on such samples in ``test_stream_replay.py``)."""
+
+    ROAD = build_profile(
+        [SectionSpec.from_degrees(400.0, 1.0, 1, turn_deg=20.0)], name="gyro-road"
+    )
+
+    def _dead_reckoning(self):
+        est = StreamingGradientEstimator(
+            DT,
+            v0=12.0,
+            road=self.ROAD,
+            gps_denied=GPSDeniedConfig(
+                enabled=True, outage_enter_ticks=5, dead_reckoning_after_ticks=10
+            ),
+        )
+        for _ in range(20):
+            est.push(0.3, None)
+        assert est.mode == "dead_reckoning"
+        return est
+
+    @pytest.mark.parametrize("gyro", [float("inf"), float("-inf"), float("nan")])
+    def test_held_like_zero(self, gyro):
+        held, zero = self._dead_reckoning(), self._dead_reckoning()
+        held.push(0.3, None, gyro)
+        zero.push(0.3, None, 0.0)
+        assert held.dead_reckoner.psi == zero.dead_reckoner.psi
+        assert held.s_estimate == zero.s_estimate
+        assert held.state.theta == zero.state.theta

@@ -3,11 +3,12 @@
 ``StreamingGradientEstimator.run`` replays stretches of every outage mode
 through the offline forward pass and hands only decision ticks to
 ``_tick``. This suite pins the replay to a ``push()`` per sample over
-drawn inputs -- outages, fix quality, non-finite samples, bootstrap, split
-calls, telemetry and a health monitor -- comparing outputs, the full end
-state, counters and the logged events; deterministic cases pin the edges
-of dead-reckoning stretches. A mechanism test records the ``_tick`` calls
-so a refactor cannot fall back to the per-tick path unnoticed.
+drawn inputs -- outages, fix quality, non-finite accel, speed and gyro
+samples, bootstrap, split calls, telemetry and a health monitor --
+comparing outputs, the full end state, counters and the logged events;
+deterministic cases pin the edges of dead-reckoning stretches. A
+mechanism test records the ``_tick`` calls so a refactor cannot fall back
+to the per-tick path unnoticed.
 """
 
 from __future__ import annotations
@@ -87,6 +88,16 @@ def replays(draw):
     spikes = st.tuples(st.integers(0, n - 1), st.sampled_from(SPECIALS))
     for k, value in draw(st.lists(spikes, max_size=3)):
         accel[k] = value
+    gyro = None
+    if draw(st.booleans()):
+        gyro = rng.normal(0.0, 0.01, n)
+        # Non-finite bursts (a saturated gyro), long enough to reach a
+        # dead-reckoning stretch.
+        bursts = st.tuples(
+            st.integers(0, n - 1), st.integers(1, 40), st.sampled_from(SPECIALS[:3])
+        )
+        for start, length, value in draw(st.lists(bursts, max_size=2)):
+            gyro[start : start + length] = value
     quality = None
     if draw(st.booleans()):
         quality = rng.choice([1.0, 0.9, 0.5, 0.1, np.nan], size=n, p=[0.5, 0.15, 0.15, 0.15, 0.05])
@@ -108,7 +119,7 @@ def replays(draw):
     return {
         "accel": accel,
         "v_meas": v_meas,
-        "gyro": rng.normal(0.0, 0.01, n) if draw(st.booleans()) else None,
+        "gyro": gyro,
         "fix_quality": quality,
         "kwargs": {
             "v0": draw(st.sampled_from([None, 12.0])),
@@ -301,6 +312,17 @@ class TestDeadReckoningStretches:
         assert ("dead_reckoning", False) in results
         assert est.recoveries > 0
         assert _observed(est, theta, tel, log) == _via_push(case)
+
+    def test_non_finite_gyro_inside_a_stretch(self):
+        # A saturated burst straddles the road match and map update at tick
+        # 135, then one NaN and one -inf sample follow.
+        case = _outage_case([(101, 200)])
+        case["gyro"][130:140] = np.inf
+        case["gyro"][150] = np.nan
+        case["gyro"][160] = -np.inf
+        got = _via_run(case)
+        assert got == _via_push(case)
+        assert got["counters"]["stream.mode.dead_reckoning"] > 0
 
     def test_two_outage_episodes(self):
         case = _outage_case([(101, 200), (301, 420)])
