@@ -18,7 +18,6 @@ Quickstart::
 """
 
 from .apps import (
-    GradeMapStore,
     compare_routes,
     least_fuel_route,
     optimize_velocity_profile,
@@ -27,14 +26,12 @@ from .apps import (
 from .baselines import (
     ANNBaselineConfig,
     ANNGradientEstimator,
-    estimate_gradient_barometer,
     estimate_gradient_ekf_baseline,
 )
 from .config import SerializableConfig
 from .core import (
     ROBUST_STAGES,
     EstimationResult,
-    ExtendedKalmanFilter,
     GradientEKFConfig,
     GradientEstimationSystem,
     GradientFilterCore,
@@ -86,17 +83,14 @@ from .vehicle import DriverProfile, TruthTrace, VehicleParams, simulate_trip
 __version__ = "1.0.0"
 
 __all__ = [
-    "GradeMapStore",
     "compare_routes",
     "least_fuel_route",
     "optimize_velocity_profile",
     "reconstruct_elevation",
     "ANNBaselineConfig",
     "ANNGradientEstimator",
-    "estimate_gradient_barometer",
     "estimate_gradient_ekf_baseline",
     "EstimationResult",
-    "ExtendedKalmanFilter",
     "GradientEKFConfig",
     "GradientEstimationSystem",
     "GradientFilterCore",

@@ -2,13 +2,13 @@
 
 * :mod:`velocity_optimizer` — fuel-optimal speed profiles over gradients;
 * :mod:`elevation` — road elevation reconstruction from gradient tracks;
-* :mod:`grade_map` — the cloud-side per-road gradient store (incremental
-  Eq 6 fusion + JSON persistence);
 * :mod:`routing` — least-fuel route planning.
+
+Cross-vehicle cloud fusion (Eq 6 over many trips' estimates) is
+:func:`repro.core.fuse_estimates`.
 """
 
 from .elevation import ElevationEstimate, climb_statistics, reconstruct_elevation
-from .grade_map import GradeMapStore, RoadGradeEntry
 from .routing import RouteComparison, compare_routes, edge_fuel_cost, least_fuel_route
 from .velocity_optimizer import (
     VelocityOptimizerConfig,
@@ -20,8 +20,6 @@ __all__ = [
     "ElevationEstimate",
     "climb_statistics",
     "reconstruct_elevation",
-    "GradeMapStore",
-    "RoadGradeEntry",
     "RouteComparison",
     "compare_routes",
     "edge_fuel_cost",

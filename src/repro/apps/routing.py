@@ -3,8 +3,9 @@
 The paper's application claim: gradient-aware fuel maps "can be applied
 into vehicle routing plan area to determine the best route to minimize the
 fuel consumption". These helpers compute per-edge fuel costs — from true
-profiles, from a :class:`~repro.apps.grade_map.GradeMapStore` of estimated
-gradients, or flat — and run the comparison.
+profiles or from any ``gradient_lookup`` callable that returns an edge's
+gradients (e.g. estimates fused across trips by
+:func:`~repro.core.fuse_estimates`) — and run the comparison.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ def edge_fuel_cost(
 ) -> float:
     """Fuel [gallons] to drive one road edge at a constant speed.
 
-    ``gradient_lookup`` substitutes estimated gradients (e.g. from a
-    :class:`GradeMapStore`); default uses the edge's true profile.
+    ``gradient_lookup(edge)`` substitutes estimated gradients sampled on
+    ``edge.profile.s``; default uses the edge's true profile.
     """
     theta = (
         np.asarray(gradient_lookup(edge), dtype=float)

@@ -1,7 +1,6 @@
 """Compared road-gradient estimation methods (paper Sec IV)."""
 
 from .ann import ANNBaselineConfig, ANNGradientEstimator, MLP, training_samples_from_recording
-from .barometer_direct import BarometerSlopeConfig, estimate_gradient_barometer
 from .ekf_altitude import AltitudeEKFConfig, estimate_gradient_ekf_baseline
 
 __all__ = [
@@ -9,8 +8,6 @@ __all__ = [
     "ANNGradientEstimator",
     "MLP",
     "training_samples_from_recording",
-    "BarometerSlopeConfig",
-    "estimate_gradient_barometer",
     "AltitudeEKFConfig",
     "estimate_gradient_ekf_baseline",
 ]

@@ -4,9 +4,9 @@ from .batch import estimate_tracks_batch
 from .trip_batch import BATCH_CHANNELS, BatchPipelineContext, TripBatch
 from .bias_ekf import BiasEKFConfig, estimate_track_bias_augmented
 from .dead_reckoning import DeadReckoner, DeadReckoningConfig, GPSDeniedConfig
-from .ekf import EKFModel, ExtendedKalmanFilter
 from .online import MODE_NAMES, StreamingGradientEstimator, StreamState
 from .gradient_ekf import (
+    PROCESS_MODELS,
     GradientEKFConfig,
     GradientFilterCore,
     estimate_track,
@@ -43,7 +43,6 @@ from .pipeline import (
     GradientSystemConfig,
     fuse_estimates,
 )
-from .state_space import PROCESS_MODELS, GradientStateSpace
 from .track import GradientTrack
 from .track_fusion import convex_combination, fuse_tracks
 
@@ -53,11 +52,10 @@ __all__ = [
     "DeadReckoner",
     "DeadReckoningConfig",
     "GPSDeniedConfig",
-    "EKFModel",
-    "ExtendedKalmanFilter",
     "MODE_NAMES",
     "StreamingGradientEstimator",
     "StreamState",
+    "PROCESS_MODELS",
     "GradientEKFConfig",
     "GradientFilterCore",
     "estimate_track",
@@ -94,8 +92,6 @@ __all__ = [
     "GradientEstimationSystem",
     "GradientSystemConfig",
     "fuse_estimates",
-    "PROCESS_MODELS",
-    "GradientStateSpace",
     "GradientTrack",
     "convex_combination",
     "fuse_tracks",

@@ -4,10 +4,9 @@
 accelerometer at the phone rate and corrected by one velocity source; the
 output is a :class:`~repro.core.track.GradientTrack`. The filter is a
 hand-specialized scalar 2-state EKF, algebraically identical to running
-:class:`~repro.core.state_space.GradientStateSpace` through the generic
-:class:`~repro.core.ekf.ExtendedKalmanFilter` (the test suite keeps that
-generic run as an oracle) but ~20x faster, which matters on the 165 km
-network experiment.
+the state-space model through a generic EKF (the test suite keeps that
+generic run as an oracle, ``tests/core/generic_ekf.py``) but ~20x faster,
+which matters on the 165 km network experiment.
 
 :class:`GradientFilterCore` is the streaming tick: one predict/update per
 call, driven sample by sample on the phone
@@ -38,13 +37,14 @@ import numpy as np
 
 from ..config import SerializableConfig
 from ..constants import GRAVITY
-from ..errors import DegradedInputError, EstimationError
+from ..errors import ConfigurationError, DegradedInputError, EstimationError
 from ..obs import Telemetry
 from ..sensors.base import SampledSignal
 from ..vehicle.params import DEFAULT_VEHICLE, VehicleParams
 from .track import GradientTrack, readonly_view
 
 __all__ = [
+    "PROCESS_MODELS",
     "GradientEKFConfig",
     "GradientFilterCore",
     "estimate_track",
@@ -59,6 +59,11 @@ _DEFAULT_MEASUREMENT_STD = {
     "accelerometer-velocity": 0.90,
 }
 _FALLBACK_MEASUREMENT_STD = 0.5
+
+#: Process-model variants (DESIGN.md §1): ``"specific_force"`` predicts
+#: ``v' = v + (a_meas - g sin(theta)) dt``, the accelerometer reading
+#: specific force; ``"paper"`` is the literal Eq 5 ``v' = v + a_meas dt``.
+PROCESS_MODELS = ("specific_force", "paper")
 
 
 @dataclass
@@ -81,6 +86,10 @@ class GradientEKFConfig(SerializableConfig):
     measurement_std: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self) -> None:
+        if self.process not in PROCESS_MODELS:
+            raise ConfigurationError(
+                f"unknown process model {self.process!r}; choose from {PROCESS_MODELS}"
+            )
         # Dict input is the ergonomic form ({"gps": 0.4}); normalize to
         # sorted (name, std) pairs so the stored config is immutable data
         # and two specs with the same overrides compare equal.

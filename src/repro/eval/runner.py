@@ -24,7 +24,6 @@ import numpy as np
 
 from ..baselines.ann import ANNBaselineConfig, ANNGradientEstimator
 from ..config import SerializableConfig
-from ..baselines.barometer_direct import estimate_gradient_barometer
 from ..baselines.ekf_altitude import AltitudeEKFConfig, estimate_gradient_ekf_baseline
 from ..core.dead_reckoning import GPSDeniedConfig
 from ..core.gradient_ekf import GradientEKFConfig
@@ -69,6 +68,9 @@ __all__ = [
     "evaluate_methods",
     "evaluate_fusion_counts",
 ]
+
+#: Gradient-estimation methods :func:`evaluate_methods` compares.
+METHODS = ("ops", "ekf", "ann")
 
 #: Fig 8(b) track subsets, in the paper's "1..4 fused tracks" order. The
 #: single-track case is the canonical GPS velocity (the paper's "no track
@@ -325,17 +327,24 @@ def _truth_events(trace: TruthTrace) -> list[tuple[float, float, int]]:
 
 def evaluate_methods(
     profile: RoadProfile,
-    methods: tuple[str, ...] = ("ops", "ekf", "ann"),
+    methods: tuple[str, ...] = METHODS,
     cfg: RunnerConfig | None = None,
     telemetry: Telemetry | None = None,
 ) -> ComparisonResult:
     """Compare gradient-estimation methods on one route.
 
-    ``methods`` may contain ``"ops"``, ``"ekf"``, ``"ann"`` and
-    ``"barometer"``. The ANN baseline trains on a held-out trip over the
-    same route with reference-survey labels, mirroring the paper's
-    4,320-sample training set.
+    ``methods`` is drawn from :data:`METHODS`: ``"ops"`` (this system),
+    ``"ekf"`` (the altitude-EKF baseline [7]) and ``"ann"`` (the ANN
+    baseline [8]); any other name raises
+    :class:`~repro.errors.ConfigurationError`. The ANN baseline trains on a
+    held-out trip over the same route with reference-survey labels,
+    mirroring the paper's 4,320-sample training set.
     """
+    unknown = sorted(set(methods) - set(METHODS))
+    if unknown:
+        raise ConfigurationError(
+            f"unknown method(s) {unknown}; choose from {METHODS}"
+        )
     cfg = cfg or RunnerConfig()
     tel = telemetry if telemetry is not None else NULL_TELEMETRY
     with tel.span("reference"):
@@ -386,10 +395,6 @@ def evaluate_methods(
                 track = ann.estimate_track(rec, aligned_s, stride=cfg.baseline_stride)
                 theta, _ = track.resample(s_grid)
                 per_method_thetas["ann"].append(theta)
-            if "barometer" in methods:
-                track = estimate_gradient_barometer(rec, aligned_s)
-                theta, _ = track.resample(s_grid)
-                per_method_thetas["barometer"].append(theta)
 
     with tel.span("score"):
         method_results: dict[str, MethodEstimate] = {}
@@ -405,7 +410,7 @@ def evaluate_methods(
                 else np.interp(s_grid, ops_results[0].fused.s, ops_results[0].fused.theta)
             )
             method_results["ops"] = _score("ops", theta, truth)
-        for name in ("ekf", "ann", "barometer"):
+        for name in ("ekf", "ann"):
             if name in methods:
                 theta = np.mean(np.stack(per_method_thetas[name]), axis=0)
                 method_results[name] = _score(name, theta, truth)

@@ -3,7 +3,6 @@
 from .builder import SectionSpec, build_profile, s_curve_specs
 from .cache import CachedRoadProfile, LRUCache
 from .elevation import ConstantSlopeField, ElevationField, FlatField
-from .export import dumps_geojson, network_to_geojson, profile_to_geojson
 from .generator import CityGeneratorConfig, generate_city_network
 from .geometry import (
     GeoPoint,
@@ -28,9 +27,6 @@ __all__ = [
     "ConstantSlopeField",
     "ElevationField",
     "FlatField",
-    "dumps_geojson",
-    "network_to_geojson",
-    "profile_to_geojson",
     "CityGeneratorConfig",
     "generate_city_network",
     "GeoPoint",

@@ -8,7 +8,7 @@ from .gps import GPSFixes, GPSReceiver
 from .imu import Accelerometer, Gyroscope
 from .noise import NoiseModel
 from .phone import VELOCITY_SOURCES, PhoneRecording, Smartphone
-from .recording_io import TripStore, load_recording, load_trace, save_recording, save_trace
+from .recording_io import TripStore
 from .speedometer import Speedometer
 
 __all__ = [
@@ -30,8 +30,4 @@ __all__ = [
     "Smartphone",
     "Speedometer",
     "TripStore",
-    "load_recording",
-    "load_trace",
-    "save_recording",
-    "save_trace",
 ]

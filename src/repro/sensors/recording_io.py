@@ -1,22 +1,15 @@
-"""Persistence for phone recordings and truth traces.
+"""Persistence for phone recordings: the zero-copy trip store.
 
 A research workflow records trips once and re-runs estimators many times.
-Two formats live here:
-
-* **Single-trip .npz archives** — :func:`save_recording` /
-  :func:`load_recording` (and the trace twins) serialize one
-  :class:`~repro.sensors.phone.PhoneRecording` or
-  :class:`~repro.vehicle.trip.TruthTrace` to a compressed numpy archive
-  and back, bit-exactly. Ground truth is stored only when present.
-* **The zero-copy trip store** — :class:`TripStore` lays a whole fleet of
-  recordings out as a directory of padded ``.npy`` column matrices plus a
-  ``manifest.json`` (schema ``repro.trip_store/v1``). Opening a store
-  memory-maps every matrix read-only (``np.load(mmap_mode="r")``, never
-  pickle), so :meth:`TripStore.recording` rebuilds trips from on-disk
-  views without materializing the fleet, and :meth:`TripStore.batch`
-  hands the mapped matrices straight to
-  :class:`~repro.core.trip_batch.TripBatch` via ``from_padded`` — the
-  batch pipeline then computes directly on the file pages.
+:class:`TripStore` lays a whole fleet of recordings out as a directory of
+padded ``.npy`` column matrices plus a ``manifest.json`` (schema
+``repro.trip_store/v1``); ground truth is stored only when present.
+Opening a store memory-maps every matrix read-only
+(``np.load(mmap_mode="r")``, never pickle), so :meth:`TripStore.recording`
+rebuilds trips from on-disk views without materializing the fleet, and
+:meth:`TripStore.batch` hands the mapped matrices straight to
+:class:`~repro.core.trip_batch.TripBatch` via ``from_padded`` — the batch
+pipeline then computes directly on the file pages.
 """
 
 from __future__ import annotations
@@ -33,13 +26,7 @@ from .base import SampledSignal
 from .gps import GPSFixes
 from .phone import PhoneRecording
 
-__all__ = [
-    "save_recording",
-    "load_recording",
-    "save_trace",
-    "load_trace",
-    "TripStore",
-]
+__all__ = ["TripStore"]
 
 _SIGNAL_CHANNELS = (
     "accel_long",
@@ -49,159 +36,6 @@ _SIGNAL_CHANNELS = (
     "barometer",
     "canbus",
 )
-
-_SIGNAL_KEYS = ("t", "values", "valid", "name", "unit")
-
-_RECORDING_KEYS = (
-    "t",
-    "dt",
-    "mounting_yaw_true",
-    "mounting_yaw_estimate",
-    "has_truth",
-    "gps.t",
-    "gps.x",
-    "gps.y",
-    "gps.speed",
-    "gps.available",
-)
-
-
-def _require_keys(path, data, keys) -> None:
-    """Fail with the missing field names — not a bare ``KeyError`` — when an
-    archive was truncated, renamed, or written by something else."""
-    missing = sorted(k for k in keys if k not in data)
-    if missing:
-        raise SensorError(f"{path} is not a valid archive: missing field(s) {missing}")
-
-
-def _require_finite_timebase(path, key, t: np.ndarray) -> None:
-    if not np.all(np.isfinite(np.asarray(t, dtype=float))):
-        raise SensorError(
-            f"{path} field {key!r} contains non-finite timestamps; the "
-            f"archive is corrupt"
-        )
-
-
-def _pack_signal(prefix: str, signal: SampledSignal, out: dict) -> None:
-    out[f"{prefix}.t"] = signal.t
-    out[f"{prefix}.values"] = signal.values
-    out[f"{prefix}.valid"] = signal.valid
-    out[f"{prefix}.name"] = np.array(signal.name)
-    out[f"{prefix}.unit"] = np.array(signal.unit)
-
-
-def _unpack_signal(prefix: str, data, path="archive") -> SampledSignal:
-    try:
-        return SampledSignal(
-            t=data[f"{prefix}.t"],
-            values=data[f"{prefix}.values"],
-            valid=data[f"{prefix}.valid"],
-            name=str(data[f"{prefix}.name"]),
-            unit=str(data[f"{prefix}.unit"]),
-        )
-    except SensorError as exc:
-        # SampledSignal's own shape checks don't know the channel name.
-        raise SensorError(f"{path} channel {prefix!r}: {exc}") from exc
-
-
-def save_recording(path, recording: PhoneRecording) -> None:
-    """Write a recording (and its truth trace, if kept) to ``path``."""
-    out: dict = {
-        "t": recording.t,
-        "dt": np.array(recording.dt),
-        "mounting_yaw_true": np.array(recording.mounting_yaw_true),
-        "mounting_yaw_estimate": np.array(recording.mounting_yaw_estimate),
-        "gps.t": recording.gps.t,
-        "gps.x": recording.gps.x,
-        "gps.y": recording.gps.y,
-        "gps.speed": recording.gps.speed,
-        "gps.available": recording.gps.available,
-        "has_truth": np.array(recording.truth is not None),
-    }
-    for channel in _SIGNAL_CHANNELS:
-        _pack_signal(channel, getattr(recording, channel), out)
-    if recording.truth is not None:
-        _pack_trace("truth", recording.truth, out)
-    np.savez_compressed(Path(path), **out)
-
-
-def load_recording(path) -> PhoneRecording:
-    """Read a recording written by :func:`save_recording`.
-
-    The archive is validated before any object is built: missing fields,
-    length-mismatched signal arrays, and non-finite timebases all raise
-    :class:`~repro.errors.SensorError` naming the offending field instead
-    of surfacing as a ``KeyError`` (or worse, a poisoned recording).
-    """
-    path = Path(path)
-    with np.load(path, allow_pickle=False) as data:
-        required = list(_RECORDING_KEYS) + [
-            f"{channel}.{key}"
-            for channel in _SIGNAL_CHANNELS
-            for key in _SIGNAL_KEYS
-        ]
-        _require_keys(path, data, required)
-        _require_finite_timebase(path, "t", data["t"])
-        _require_finite_timebase(path, "gps.t", data["gps.t"])
-        for channel in _SIGNAL_CHANNELS:
-            _require_finite_timebase(path, f"{channel}.t", data[f"{channel}.t"])
-        kwargs = {
-            channel: _unpack_signal(channel, data, path)
-            for channel in _SIGNAL_CHANNELS
-        }
-        truth = _unpack_trace("truth", data, path) if bool(data["has_truth"]) else None
-        try:
-            gps = GPSFixes(
-                t=data["gps.t"],
-                x=data["gps.x"],
-                y=data["gps.y"],
-                speed=data["gps.speed"],
-                available=data["gps.available"],
-            )
-        except SensorError as exc:
-            raise SensorError(f"{path} channel 'gps': {exc}") from exc
-        return PhoneRecording(
-            t=data["t"],
-            dt=float(data["dt"]),
-            gps=gps,
-            mounting_yaw_true=float(data["mounting_yaw_true"]),
-            mounting_yaw_estimate=float(data["mounting_yaw_estimate"]),
-            truth=truth,
-            **kwargs,
-        )
-
-
-def _pack_trace(prefix: str, trace: TruthTrace, out: dict) -> None:
-    for name in _ARRAY_FIELDS:
-        out[f"{prefix}.{name}"] = getattr(trace, name)
-    out[f"{prefix}.lane"] = trace.lane
-    out[f"{prefix}.lane_change"] = trace.lane_change
-    out[f"{prefix}.gps_available"] = trace.gps_available
-    out[f"{prefix}.dt"] = np.array(trace.dt)
-    out[f"{prefix}.driver_name"] = np.array(trace.driver_name)
-
-
-def _unpack_trace(prefix: str, data, path="archive") -> TruthTrace:
-    required = [f"{prefix}.{name}" for name in _ARRAY_FIELDS] + [
-        f"{prefix}.{name}"
-        for name in ("lane", "lane_change", "gps_available", "dt", "driver_name")
-    ]
-    _require_keys(path, data, required)
-    _require_finite_timebase(path, f"{prefix}.t", data[f"{prefix}.t"])
-    kwargs = {name: data[f"{prefix}.{name}"] for name in _ARRAY_FIELDS}
-    return TruthTrace(
-        **kwargs,
-        lane=data[f"{prefix}.lane"],
-        lane_change=data[f"{prefix}.lane_change"],
-        gps_available=data[f"{prefix}.gps_available"],
-        dt=float(data[f"{prefix}.dt"]),
-        driver_name=str(data[f"{prefix}.driver_name"]),
-    )
-
-
-# --------------------------------------------------------------------------
-# TripStore — zero-copy columnar fleet storage
-# --------------------------------------------------------------------------
 
 _STORE_SCHEMA = "repro.trip_store/v1"
 _STORE_MANIFEST = "manifest.json"
@@ -432,13 +266,26 @@ class TripStore:
     def __len__(self) -> int:
         return self.n_trips
 
+    def _timebase(self, key: str, i: int, n: int) -> np.ndarray:
+        """Trip ``i``'s ``n`` timestamps from a padded timebase, checked
+        finite: a NaN timestamp would otherwise surface only as every track
+        failing the fusion quality gate. Checked per trip, when it is read,
+        so opening a store touches no timebase page."""
+        t = self._arrays[key][i, :n]
+        if not np.isfinite(t).all():
+            raise SensorError(
+                f"{self._root} is corrupt: array {key!r} holds non-finite "
+                f"timestamps for trip {i}"
+            )
+        return t
+
     def _signal(self, i: int, name: str, rec_t: np.ndarray) -> SampledSignal:
         spec = self._manifest["channels"][name]
         m = int(self._arrays[f"{name}.lengths"][i])
         if bool(self._arrays[f"{name}.uniform"][i]):
             t = rec_t
         else:
-            t = self._arrays[f"{name}.t2d"][i, :m]
+            t = self._timebase(f"{name}.t2d", i, m)
         return SampledSignal(
             t=t,
             values=self._arrays[f"{name}.values"][i, :m],
@@ -470,7 +317,7 @@ class TripStore:
         if not 0 <= i < self.n_trips:
             raise SensorError(f"trip index {i} out of range for {self.n_trips} trips")
         n = int(self._arrays["lengths"][i])
-        rec_t = self._arrays["t2d"][i, :n]
+        rec_t = self._timebase("t2d", i, n)
         offsets = self._arrays["gps.offsets"]
         lo, hi = int(offsets[i]), int(offsets[i + 1])
         gps = GPSFixes(
@@ -514,23 +361,3 @@ class TripStore:
                 )
         return TripBatch.from_padded(self.recordings(), self._arrays["t2d"], columns)
 
-
-def save_trace(path, trace: TruthTrace) -> None:
-    """Write a standalone truth trace to ``path``."""
-    out: dict = {}
-    _pack_trace("trace", trace, out)
-    np.savez_compressed(Path(path), **out)
-
-
-def load_trace(path) -> TruthTrace:
-    """Read a trace written by :func:`save_trace`.
-
-    Validates the archive the same way :func:`load_recording` does: missing
-    fields and non-finite timebases raise :class:`~repro.errors.SensorError`
-    naming the offending field.
-    """
-    path = Path(path)
-    with np.load(path, allow_pickle=False) as data:
-        if "trace.t" not in data:
-            raise SensorError(f"{path!r} does not contain a truth trace")
-        return _unpack_trace("trace", data, path)

@@ -5,11 +5,8 @@ from .lateral import LaneChangeManeuver, plan_lane_change
 from .longitudinal import (
     acceleration,
     aero_drag_force,
-    driving_torque,
-    grade_from_states,
     grade_resistance_force,
     required_traction_force,
-    torque_from_velocity_profile,
 )
 from .params import DEFAULT_VEHICLE, SI_CALIBRATED, TABLE_II, VehicleParams, VSPCoefficients
 from .simulator import SimulationConfig, TripSimulator, simulate_trip
@@ -23,11 +20,8 @@ __all__ = [
     "plan_lane_change",
     "acceleration",
     "aero_drag_force",
-    "driving_torque",
-    "grade_from_states",
     "grade_resistance_force",
     "required_traction_force",
-    "torque_from_velocity_profile",
     "DEFAULT_VEHICLE",
     "SI_CALIBRATED",
     "TABLE_II",

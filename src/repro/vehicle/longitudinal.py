@@ -10,8 +10,9 @@ Rearranged, the force balance the simulator integrates is
 
 where ``F_traction = M / r`` and ``beta = arcsin(mu / sqrt(1 + mu^2))``
 lumps rolling resistance into the gravity term exactly as the paper does.
-Because both directions of the equation live here, tests can verify that
-:func:`grade_from_states` inverts :func:`acceleration` to machine precision.
+:func:`acceleration` gives ``a`` from the forces and
+:func:`required_traction_force` the traction that holds a given ``a``; the
+simulator uses both.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ import math
 
 import numpy as np
 
-from ..constants import GRAVITY
-from ..errors import EstimationError
 from .params import VehicleParams
 
 __all__ = [
@@ -29,9 +28,6 @@ __all__ = [
     "grade_resistance_force",
     "acceleration",
     "required_traction_force",
-    "driving_torque",
-    "grade_from_states",
-    "torque_from_velocity_profile",
 ]
 
 
@@ -97,65 +93,3 @@ def required_traction_force(
         + grade_resistance_force(params, grade)
     )
 
-
-def driving_torque(
-    params: VehicleParams,
-    a: float | np.ndarray,
-    v: float | np.ndarray,
-    grade: float | np.ndarray,
-):
-    """Driving torque M = F_traction * r [N m] at the wheels."""
-    return required_traction_force(params, a, v, grade) * params.wheel_radius
-
-
-def grade_from_states(
-    params: VehicleParams,
-    torque: float | np.ndarray,
-    v: float | np.ndarray,
-    a: float | np.ndarray,
-):
-    """Eq 3: recover the road gradient from (M, v, a).
-
-    Raises :class:`EstimationError` when the argument of arcsin falls
-    outside [-1, 1] by more than numerical noise (inconsistent inputs);
-    values within 1e-9 of the boundary are clipped.
-    """
-    torque = np.asarray(torque, dtype=float)
-    v = np.asarray(v, dtype=float)
-    a = np.asarray(a, dtype=float)
-    arg = (
-        torque / (params.wheel_radius * params.weight)
-        - params.drag_term * np.square(v) / (2.0 * params.weight)
-        - a / GRAVITY
-    )
-    if np.any(np.abs(arg) > 1.0 + 1e-9):
-        raise EstimationError(
-            f"Eq 3 arcsin argument out of range (max |arg| = {float(np.max(np.abs(arg))):.3f})"
-        )
-    theta = np.arcsin(np.clip(arg, -1.0, 1.0)) - params.beta
-    return float(theta) if theta.ndim == 0 else theta
-
-
-def torque_from_velocity_profile(
-    params: VehicleParams,
-    v: np.ndarray,
-    dt: float,
-    grade: np.ndarray | None = None,
-) -> np.ndarray:
-    """Estimate the driving torque from a velocity profile alone.
-
-    This is the trick the paper borrows from [7] for the EKF baseline:
-    rather than reading the active gear and engine torque from the gearbox,
-    the torque is reconstructed from velocity, acceleration and mass. When
-    the gradient is unknown (the baseline's situation) it is taken as zero,
-    which is exactly why the baseline needs an altitude measurement to stay
-    honest.
-    """
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or len(v) < 2:
-        raise EstimationError("need at least two velocity samples")
-    if dt <= 0.0:
-        raise EstimationError("dt must be positive")
-    a = np.gradient(v, dt)
-    g = np.zeros_like(v) if grade is None else np.asarray(grade, dtype=float)
-    return np.asarray(driving_torque(params, a, v, g), dtype=float)

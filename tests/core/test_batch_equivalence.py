@@ -29,7 +29,7 @@ from repro.core.batch import (
     _estimate_tracks_vectorized,
     estimate_tracks_batch,
 )
-from repro.core.gradient_ekf import GradientEKFConfig, estimate_track
+from repro.core.gradient_ekf import PROCESS_MODELS, GradientEKFConfig, estimate_track
 from repro.core.lane_change.detector import LaneChangeDetectorConfig
 from repro.core.lane_change.features import LaneChangeThresholds
 from repro.core.pipeline import GradientEstimationSystem, GradientSystemConfig
@@ -43,7 +43,7 @@ from repro.sensors.phone import VELOCITY_SOURCES
 from repro.vehicle import DriverProfile, simulate_trip
 
 TH = LaneChangeThresholds(delta=0.05, duration=0.5)
-PROCESSES = ["specific_force", "accelerometer"]
+PROCESSES = list(PROCESS_MODELS)
 
 # -- direct kernel API -------------------------------------------------------
 
@@ -169,7 +169,7 @@ class TestDirectEquivalence:
 
     @pytest.mark.parametrize(
         "process, accel, spike, grade_rate_std",
-        [("specific_force", 9.0, 50.0, 0.5), ("accelerometer", -40.0, 100.0, 0.012)],
+        [("specific_force", 9.0, 50.0, 0.5), ("paper", -40.0, 100.0, 0.012)],
     )
     def test_theta_clamp_and_cos_floor(self, process, accel, spike, grade_rate_std):
         # Unphysical drive: a sustained acceleration the speed never shows

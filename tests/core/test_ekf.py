@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core.ekf import EKFModel, ExtendedKalmanFilter
 from repro.errors import EstimationError
+
+from .generic_ekf import EKFModel, ExtendedKalmanFilter
 
 
 def linear_model(q=1e-4, r=0.04):

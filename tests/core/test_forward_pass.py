@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from repro.constants import GRAVITY
 from repro.core.gradient_ekf import (
+    PROCESS_MODELS,
     GradientEKFConfig,
     GradientFilterCore,
     _forward_pass,
@@ -153,7 +154,7 @@ def cases(draw) -> Case:
             r_map = draw(st.floats(1e-7, 1.0))
             events.append((tick, "map", z_map, r_map))
     return Case(
-        process=draw(st.sampled_from(["specific_force", "accelerometer"])),
+        process=draw(st.sampled_from(PROCESS_MODELS)),
         dt=draw(st.sampled_from([0.01, 0.02, 0.1])),
         grade_rate_std=draw(st.floats(1e-3, 0.5)),
         v0=draw(st.floats(0.0, 40.0)),
@@ -195,7 +196,7 @@ def _unphysical_drive(process: str, accel: float, spike: float, grade_rate_std: 
 
 PINNED = [
     _unphysical_drive("specific_force", 9.0, 50.0, 0.5),
-    _unphysical_drive("accelerometer", -40.0, 100.0, 0.012),
+    _unphysical_drive("paper", -40.0, 100.0, 0.012),
 ]
 
 

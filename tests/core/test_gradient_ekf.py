@@ -4,24 +4,24 @@ import numpy as np
 import pytest
 
 from repro.constants import GRAVITY
-from repro.core.ekf import EKFModel, ExtendedKalmanFilter
 from repro.core.gradient_ekf import (
     GradientEKFConfig,
     estimate_track,
     measurements_on_timebase,
 )
-from repro.core.state_space import GradientStateSpace
 from repro.core.track import GradientTrack
-from repro.errors import EstimationError
+from repro.errors import ConfigurationError, EstimationError
 from repro.sensors.base import SampledSignal
 from repro.vehicle.params import DEFAULT_VEHICLE
+
+from .generic_ekf import EKFModel, ExtendedKalmanFilter, GradientStateSpace
 
 
 def estimate_track_generic(accel, vel, s, vehicle=None, config=None):
     """Oracle: the same model through the generic EKF class, step by step.
 
     Slow, but written from the state-space model
-    (:class:`~repro.core.state_space.GradientStateSpace`) rather than from
+    (:class:`~tests.core.generic_ekf.GradientStateSpace`) rather than from
     the hand-specialized scalar equations, so agreement with
     :func:`estimate_track` checks the specialization itself.
     """
@@ -190,6 +190,12 @@ class TestConfig:
 
     def test_std_for_unknown_fallback(self):
         assert GradientEKFConfig().std_for("mystery") == 0.5
+
+    def test_unknown_process_rejected(self):
+        with pytest.raises(ConfigurationError, match="specfic_force"):
+            GradientEKFConfig(process="specfic_force")
+        with pytest.raises(ConfigurationError, match="specfic_force"):
+            GradientEKFConfig.from_dict({"process": "specfic_force"})
 
     def test_track_name_defaults_to_source(self):
         accel, vel, s = synthetic_signals(n=100)

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.constants import GRAVITY
-from repro.core.state_space import PROCESS_MODELS, GradientStateSpace
+from repro.core import PROCESS_MODELS
 from repro.errors import ConfigurationError
 from repro.vehicle.params import DEFAULT_VEHICLE
+
+from .generic_ekf import GradientStateSpace
 
 
 def make_model(process="specific_force", dt=0.02):

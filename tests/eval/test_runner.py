@@ -56,6 +56,11 @@ class TestEvaluateMethods:
         expected = short_route.grade_at(comparison.s_grid)
         assert np.allclose(comparison.truth, expected, atol=np.radians(0.25))
 
+    @pytest.mark.parametrize("methods", [("ops", "ekff"), ("ops", "barometer")])
+    def test_unknown_method_rejected(self, short_route, methods):
+        with pytest.raises(ConfigurationError, match=r"choose from \('ops', 'ekf', 'ann'\)"):
+            evaluate_methods(short_route, methods=methods)
+
 
 class TestFusionCounts:
     def test_subset_definitions(self):
@@ -82,6 +87,11 @@ class TestPlumbing:
         cfg = RunnerConfig(n_trips=1, velocity_sources=("speedometer",))
         system = make_system(short_route, cfg)
         assert system.config.velocity_sources == ("speedometer",)
+
+    def test_unknown_process_fails_when_system_built(self, short_route):
+        cfg = RunnerConfig(n_trips=1, process="specfic_force")
+        with pytest.raises(ConfigurationError, match="specfic_force"):
+            make_system(short_route, cfg)
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):

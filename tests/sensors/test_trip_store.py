@@ -64,7 +64,7 @@ def assert_recordings_equal(a, b):
     else:
         for key in TruthTrace.__dataclass_fields__:
             if key in ("profile", "extras"):
-                continue  # not persisted, same as the per-trip npz format
+                continue  # not persisted
             va, vb = getattr(a.truth, key), getattr(b.truth, key)
             if isinstance(va, np.ndarray):
                 assert np.array_equal(va, vb, equal_nan=True), key
@@ -206,3 +206,21 @@ class TestCorruption:
         np.save(root / "lengths.npy", np.zeros((7,), dtype=np.int64))
         with pytest.raises(SensorError, match="shape"):
             TripStore.open(root)
+
+    def test_nonfinite_recording_timebase_rejected(self, fleet, tmp_path):
+        root = tmp_path / "s"
+        TripStore.write(root, fleet[:1])
+        t2d = np.load(root / "t2d.npy")
+        t2d[0, 100] = np.nan
+        np.save(root / "t2d.npy", t2d)
+        with pytest.raises(SensorError, match="'t2d'.*non-finite.*trip 0"):
+            TripStore.open(root).batch()
+
+    def test_nonfinite_channel_timebase_named(self, fleet, tmp_path):
+        root = tmp_path / "s"
+        TripStore.write(root, fleet[:1])
+        t2d = np.load(root / "canbus.t2d.npy")
+        t2d[0, 10] = np.inf
+        np.save(root / "canbus.t2d.npy", t2d)
+        with pytest.raises(SensorError, match="canbus.t2d"):
+            TripStore.open(root).recording(0)

@@ -17,7 +17,7 @@ from repro.emissions.vsp import FuelModel
 from repro.roads.builder import SectionSpec, build_profile
 from repro.roads.reference import ReferenceSurveyConfig, survey_reference_profile
 from repro.vehicle.lateral import plan_lane_change
-from repro.vehicle.longitudinal import driving_torque, grade_from_states
+from repro.vehicle.longitudinal import acceleration, required_traction_force
 
 section_specs = st.lists(
     st.tuples(
@@ -91,14 +91,12 @@ class TestDynamicsInvariants:
         st.floats(500.0, 3000.0),
     )
     @settings(max_examples=60, deadline=None)
-    def test_eq3_round_trip_any_vehicle(self, v, a, grade, mass):
+    def test_force_balance_round_trip_any_vehicle(self, v, a, grade, mass):
         from repro.vehicle.params import VehicleParams
 
         vehicle = VehicleParams(mass=mass)
-        torque = driving_torque(vehicle, a, v, grade)
-        assert grade_from_states(vehicle, torque, v, a) == pytest.approx(
-            grade, abs=1e-9
-        )
+        force = required_traction_force(vehicle, a, v, grade)
+        assert acceleration(vehicle, force, v, grade) == pytest.approx(a, abs=1e-9)
 
     @given(st.floats(3.0, 25.0), st.floats(2.5, 8.0), st.floats(0.5, 1.5))
     @settings(max_examples=30, deadline=None)

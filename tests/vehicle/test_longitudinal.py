@@ -1,4 +1,4 @@
-"""Longitudinal dynamics tests: Eq 3 and its forward form must invert."""
+"""Longitudinal dynamics tests: the force balance and its traction inverse."""
 
 import math
 
@@ -7,15 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import EstimationError
 from repro.vehicle.longitudinal import (
     acceleration,
     aero_drag_force,
-    driving_torque,
-    grade_from_states,
     grade_resistance_force,
     required_traction_force,
-    torque_from_velocity_profile,
 )
 from repro.vehicle.params import DEFAULT_VEHICLE
 
@@ -56,57 +52,21 @@ class TestForceBalance:
         st.floats(-0.12, 0.12),
     )
     @settings(max_examples=100)
-    def test_eq3_inverts_forward_dynamics(self, v, a, grade):
-        """grade_from_states(driving_torque(...)) must return the grade."""
-        torque = driving_torque(DEFAULT_VEHICLE, a, v, grade)
-        recovered = grade_from_states(DEFAULT_VEHICLE, torque, v, a)
-        assert math.isclose(recovered, grade, abs_tol=1e-9)
+    def test_traction_force_inverts_acceleration(self, v, a, grade):
+        """acceleration(required_traction_force(a, ...)) must return a."""
+        force = required_traction_force(DEFAULT_VEHICLE, a, v, grade)
+        recovered = acceleration(DEFAULT_VEHICLE, force, v, grade)
+        assert math.isclose(recovered, a, abs_tol=1e-9)
 
     def test_vectorized_round_trip(self):
         v = np.array([5.0, 15.0, 25.0])
         a = np.array([0.5, -0.5, 0.0])
         grade = np.array([0.02, -0.03, 0.05])
-        torque = driving_torque(DEFAULT_VEHICLE, a, v, grade)
-        recovered = grade_from_states(DEFAULT_VEHICLE, torque, v, a)
-        assert np.allclose(recovered, grade, atol=1e-9)
+        force = required_traction_force(DEFAULT_VEHICLE, a, v, grade)
+        recovered = acceleration(DEFAULT_VEHICLE, force, v, grade)
+        assert np.allclose(recovered, a, atol=1e-9)
 
-    def test_uphill_needs_more_torque(self):
-        flat = driving_torque(DEFAULT_VEHICLE, 0.0, 15.0, 0.0)
-        hill = driving_torque(DEFAULT_VEHICLE, 0.0, 15.0, math.radians(4.0))
+    def test_uphill_needs_more_traction(self):
+        flat = required_traction_force(DEFAULT_VEHICLE, 0.0, 15.0, 0.0)
+        hill = required_traction_force(DEFAULT_VEHICLE, 0.0, 15.0, math.radians(4.0))
         assert hill > flat
-
-    def test_eq3_rejects_inconsistent_inputs(self):
-        with pytest.raises(EstimationError):
-            # A torque far beyond anything the balance permits.
-            grade_from_states(DEFAULT_VEHICLE, 1e9, 10.0, 0.0)
-
-
-class TestTorqueFromVelocity:
-    def test_constant_speed_flat(self):
-        v = np.full(100, 15.0)
-        torque = torque_from_velocity_profile(DEFAULT_VEHICLE, v, dt=0.1)
-        expected = driving_torque(DEFAULT_VEHICLE, 0.0, 15.0, 0.0)
-        assert np.allclose(torque[5:-5], expected, rtol=1e-6)
-
-    def test_acceleration_reflected(self):
-        t = np.arange(0.0, 10.0, 0.1)
-        v = 10.0 + 0.5 * t
-        torque = torque_from_velocity_profile(DEFAULT_VEHICLE, v, dt=0.1)
-        expected_mid = driving_torque(DEFAULT_VEHICLE, 0.5, v[50], 0.0)
-        assert torque[50] == pytest.approx(float(expected_mid), rel=0.01)
-
-    def test_grade_argument_used(self):
-        v = np.full(50, 12.0)
-        flat = torque_from_velocity_profile(DEFAULT_VEHICLE, v, 0.1)
-        hill = torque_from_velocity_profile(
-            DEFAULT_VEHICLE, v, 0.1, grade=np.full(50, 0.05)
-        )
-        assert np.all(hill > flat)
-
-    def test_needs_two_samples(self):
-        with pytest.raises(EstimationError):
-            torque_from_velocity_profile(DEFAULT_VEHICLE, np.array([1.0]), 0.1)
-
-    def test_needs_positive_dt(self):
-        with pytest.raises(EstimationError):
-            torque_from_velocity_profile(DEFAULT_VEHICLE, np.zeros(10), 0.0)
