@@ -2,7 +2,7 @@
 
 PYTEST := PYTHONPATH=src python -m pytest
 
-.PHONY: check lint lint-rules typecheck metric-names golden test fast test-faults test-scenarios coverage bench-smoke bench bench-batch bench-pipeline bench-faults bench-scenarios bench-gps-denied perfbench coldstart profile benchtrack benchtrack-report
+.PHONY: check lint lint-rules typecheck metric-names golden examples test fast test-faults test-scenarios coverage bench-smoke bench bench-batch bench-pipeline bench-faults bench-scenarios bench-gps-denied perfbench coldstart profile benchtrack benchtrack-report
 
 # Fast-lane coverage floor enforced in the CI PR lane (see ci.yml):
 # ~94.5% line coverage over src/repro (94.6% with pytest-cov before the
@@ -49,6 +49,14 @@ golden:
 	elif [ "$(FORCE)" = 1 ]; then cp $$tmp/*_golden.json tests/core/; echo "goldens overwritten"; \
 	else echo "goldens differ; rerun with FORCE=1 to overwrite them"; status=2; fi; \
 	rm -rf $$tmp; [ $$status -ne 2 ]
+
+# Run every script under examples/ end to end (~8 s in all); stops at the
+# first one that raises. CI's test job runs it too.
+examples:
+	@for e in examples/*.py; do \
+		echo "== $$e"; \
+		PYTHONPATH=src python $$e > /dev/null || exit 1; \
+	done
 
 test:
 	$(PYTEST) -x -q

@@ -10,52 +10,33 @@ Run:  python examples/fuel_aware_routing.py
 
 import numpy as np
 
-from repro.constants import KMH
+from repro.apps.routing import compare_routes
 from repro.datasets.charlottesville import city_network
-from repro.emissions import FuelModel, route_fuel_gallons
-from repro.roads.network import RoadEdge
-
-SPEED = 40.0 * KMH
 
 
-def edge_fuel_cost(edge: RoadEdge, model: FuelModel) -> float:
-    """Fuel [gallons] to drive one road edge at the city speed."""
-    return route_fuel_gallons(edge.profile.grade, edge.profile.s, SPEED, model)
-
-
-def describe(city, nodes, label):
-    profile = city.route_profile(nodes)
-    fuel = route_fuel_gallons(
-        profile.grade, profile.s, SPEED
-    )
-    climb = float(np.sum(np.maximum(np.diff(profile.z), 0.0)))
+def describe(city, nodes, km, fuel, label):
+    climb = float(np.sum(np.maximum(np.diff(city.route_profile(nodes).z), 0.0)))
     print(f"  {label}:")
-    print(f"    {len(nodes) - 1} road segments, {profile.length / 1000:.2f} km")
+    print(f"    {len(nodes) - 1} road segments, {km:.2f} km")
     print(f"    total climb {climb:.0f} m, fuel {fuel:.3f} gal "
-          f"({fuel / (profile.length / 1000) * 100:.2f} gal/100km)")
-    return fuel, profile.length
+          f"({fuel / km * 100:.2f} gal/100km)")
 
 
 def main() -> None:
     city = city_network(target_length_km=60.0)
     nodes = sorted(city.graph.nodes)
     origin, destination = nodes[0], nodes[-1]
-    model = FuelModel()
     print(f"Routing {origin} -> {destination} at 40 km/h\n")
 
-    shortest = city.shortest_route(origin, destination)
-    greenest = city.shortest_route(
-        origin, destination, weight=lambda e: edge_fuel_cost(e, model)
-    )
+    cmp = compare_routes(city, origin, destination)
+    describe(city, cmp.shortest_nodes, cmp.shortest_km, cmp.shortest_fuel,
+             "shortest-distance route")
+    describe(city, cmp.greenest_nodes, cmp.greenest_km, cmp.greenest_fuel,
+             "least-fuel route")
 
-    fuel_short, len_short = describe(city, shortest, "shortest-distance route")
-    fuel_green, len_green = describe(city, greenest, "least-fuel route")
-
-    saved = (1.0 - fuel_green / fuel_short) * 100.0
-    extra = (len_green / len_short - 1.0) * 100.0
-    print(f"\nLeast-fuel route saves {saved:.1f}% fuel "
-          f"for {extra:+.1f}% distance.")
-    if shortest == greenest:
+    print(f"\nLeast-fuel route saves {cmp.fuel_saving * 100.0:.1f}% fuel "
+          f"for {cmp.extra_distance * 100.0:+.1f}% distance.")
+    if not cmp.routes_differ:
         print("(Routes coincide here — flat terrain between these corners.)")
 
 

@@ -14,8 +14,10 @@ call, driven sample by sample on the phone
 :func:`estimate_track` runs :func:`_forward_pass`, which copies the core's
 arithmetic operation for operation onto Python locals (the inputs are
 unboxed with ``tolist()`` once) so a tick pays for no method calls,
-attribute traffic or numpy scalars; the RTS backward pass
-(:func:`_rts_backward`) runs on plain floats the same way. The streaming
+attribute traffic or numpy scalars. Its outputs go by tick index into
+preallocated ``array('d')`` buffers that the track's arrays then wrap
+with ``np.frombuffer``, without a copy; the RTS backward pass
+(:func:`_rts_backward`) overwrites those buffers in place. The streaming
 replay (:meth:`~repro.core.online.StreamingGradientEstimator.run`) runs
 its stretches between mode decisions through the same forward pass.
 ``tests/core/test_forward_pass.py`` pins the forward pass bit for bit to a
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -352,35 +355,38 @@ def _gps_denied_plan(
 
 
 class _History(NamedTuple):
-    """Forward-pass columns the RTS backward sweep reads, one list each.
+    """Forward-pass columns the RTS backward sweep reads, one buffer each.
 
     The predicted state, covariance and Jacobian entries
     (``F = [[1, b], [c, d]]``) per tick, plus the filtered ``p11``/``p12``;
     the filtered ``v``, ``theta`` and ``p22`` are the forward outputs.
     """
 
-    v: list[float]
-    theta: list[float]
-    p11: list[float]
-    p12: list[float]
-    p22: list[float]
-    b: list[float]
-    c: list[float]
-    d: list[float]
-    p11_filt: list[float]
-    p12_filt: list[float]
+    v: array[float]
+    theta: array[float]
+    p11: array[float]
+    p12: array[float]
+    p22: array[float]
+    b: array[float]
+    c: array[float]
+    d: array[float]
+    p11_filt: array[float]
+    p12_filt: array[float]
 
 
 class _Forward(NamedTuple):
     """What :func:`_forward_pass` returns: per-tick filtered outputs, the
     innovations and their variances (update ticks only), the smoothing
-    history (``None`` unless asked for) and the plan's event counts."""
+    history (``None`` unless asked for) and the plan's event counts.
 
-    theta: list[float]
-    var: list[float]
-    v: list[float]
-    innovations: list[float]
-    inno_var: list[float]
+    Every series is an ``array('d')`` of unboxed doubles, so
+    ``np.frombuffer`` wraps it without a copy."""
+
+    theta: array[float]
+    var: array[float]
+    v: array[float]
+    innovations: array[float]
+    inno_var: array[float]
     history: _History | None
     map_updates: int
     inflations: int
@@ -406,7 +412,16 @@ def _forward_pass(
     (``tests/core/test_forward_pass.py`` pins it) without paying for two
     calls and ~30 attribute reads and writes per tick. ``core`` supplies
     the constants and the initial state and receives the final state.
-    ``events`` must be sorted by tick (see :func:`_gps_denied_plan`).
+    ``events`` must be sorted by tick, one per tick, inside the track (see
+    :func:`_gps_denied_plan`).
+
+    The events split the track into stretches of plain ticks, so no tick
+    tests for one: an inflation runs before its tick's stretch starts, and
+    a map tick ends its stretch as a plain tick, after which the
+    ``update_theta`` arithmetic (if its ``z`` is NaN) overwrites that
+    tick's outputs. Each tick writes its outputs by index into
+    preallocated ``array('d')`` buffers, which hold doubles rather than
+    float objects.
 
     Two callers: :func:`estimate_track` runs a whole track from a fresh
     core, and the streaming replay
@@ -431,102 +446,98 @@ def _forward_pass(
     p11, p12, p22 = core.p11, core.p12, core.p22
     b, c, d = core.b, core.c, core.d
 
-    theta_out: list[float] = []
-    var_out: list[float] = []
-    v_out: list[float] = []
-    innovations: list[float] = []
-    inno_var: list[float] = []  # S = p11 + r at each update
-    theta_app = theta_out.append
-    var_app = var_out.append
-    v_app = v_out.append
+    n = len(a_list)
+    zeros = array("d", [0.0])
+    theta_out = zeros * n
+    var_out = zeros * n
+    v_out = zeros * n
+    innovations = array("d")
+    inno_var = array("d")  # S = p11 + r at each update
     inno_app = innovations.append
     s_app = inno_var.append
     history: _History | None = None
     if smooth:
-        history = _History(*([] for _ in _History._fields))
-        (
-            hv_app, ht_app, h11_app, h12_app, h22_app,
-            hb_app, hc_app, hd_app, f11_app, f12_app,
-        ) = [col.append for col in history]
+        history = _History(*(zeros * n for _ in _History._fields))
+        hv, ht, h11, h12, h22, hb, hc, hd, f11, f12 = history
 
-    events = events or []
-    n_events = len(events)
-    ev_k = 0
-    ev_tick = events[0][0] if n_events else -1
-    ev_z = ev_r = 0.0
-    map_tick = -1  # the tick whose map event (ev_z, ev_r) is pending
     n_map_updates = 0
     n_inflations = 0
-
-    for i, a, zi in zip(itertools.count(), a_list, z_list):
-        if i == ev_tick:
-            _, kind, ev_z, ev_r = events[ev_k]
-            ev_k += 1
-            ev_tick = events[ev_k][0] if ev_k < n_events else -1
-            if kind == "inflate":
-                # Reacquisition: inflate *before* this tick's predict so
-                # the first post-outage update sees an honestly uncertain
-                # prior.
-                p11 *= inflation
-                p12 *= inflation
-                p22 *= inflation
-                n_inflations += 1
+    start = 0
+    for tick, kind, ev_z, ev_r in itertools.chain(
+        events or (), ((n, "end", 0.0, 0.0),)
+    ):
+        stop = tick + 1 if kind == "map" else tick  # a map tick runs plain first
+        for i in range(start, stop):
+            # Predict (GradientFilterCore.predict).
+            sin_t = sin(theta)
+            cos_t = cos(theta)
+            if cos_t < 1e-6:
+                cos_t = 1e-6
+            if specific_force:
+                a_long = a_list[i] - sin_t * g
+                b = neg_g_dt * cos_t
+                slope = a_long * sin_t / (cos_t * cos_t) - g
             else:
-                map_tick = i
+                a_long = a_list[i]
+                b = 0.0
+                slope = a_long * sin_t / (cos_t * cos_t)
+            cdt_v = cdt * v
+            d = cdt_v * slope + 1.0
+            c = cdt * a_long / cos_t
+            v = v + a_long * dt
+            if v < 0.0:
+                v = 0.0
+            theta = theta + cdt_v * a_long / cos_t
+            if theta > clamp:
+                theta = clamp
+            elif theta < neg_clamp:
+                theta = neg_clamp
+            p11, p12, p22 = (
+                p11 + b * p12 + (p12 + b * p22) * b + q_v,
+                c * p11 + (b * c + d) * p12 + b * d * p22,
+                c * (c * p11) + c * d * p12 * 2.0 + d * d * p22 + q_t,
+            )
+            if smooth:
+                hv[i] = v
+                ht[i] = theta
+                h11[i] = p11
+                h12[i] = p12
+                h22[i] = p22
+                hb[i] = b
+                hc[i] = c
+                hd[i] = d
 
-        # Predict (GradientFilterCore.predict).
-        sin_t = sin(theta)
-        cos_t = cos(theta)
-        if cos_t < 1e-6:
-            cos_t = 1e-6
-        if specific_force:
-            a_long = a - sin_t * g
-            b = neg_g_dt * cos_t
-            slope = a_long * sin_t / (cos_t * cos_t) - g
-        else:
-            a_long = a
-            b = 0.0
-            slope = a_long * sin_t / (cos_t * cos_t)
-        cdt_v = cdt * v
-        d = cdt_v * slope + 1.0
-        c = cdt * a_long / cos_t
-        v = v + a_long * dt
-        if v < 0.0:
-            v = 0.0
-        theta = theta + cdt_v * a_long / cos_t
-        if theta > clamp:
-            theta = clamp
-        elif theta < neg_clamp:
-            theta = neg_clamp
-        p11, p12, p22 = (
-            p11 + b * p12 + (p12 + b * p22) * b + q_v,
-            c * p11 + (b * c + d) * p12 + b * d * p22,
-            c * (c * p11) + c * d * p12 * 2.0 + d * d * p22 + q_t,
-        )
-        if smooth:
-            hv_app(v)
-            ht_app(theta)
-            h11_app(p11)
-            h12_app(p12)
-            h22_app(p22)
-            hb_app(b)
-            hc_app(c)
-            hd_app(d)
+            zi = z_list[i]
+            if zi == zi:  # not NaN: GradientFilterCore.update
+                s_inno = p11 + r
+                k1 = p11 / s_inno
+                k2 = p12 / s_inno
+                inno = zi - v
+                v += k1 * inno
+                theta += k2 * inno
+                one_m = 1.0 - k1
+                p22 = p22 - k2 * p12
+                p12 = one_m * p12
+                p11 = one_m * p11
+                s_app(s_inno)
+                inno_app(inno)
 
-        if zi == zi:  # not NaN: GradientFilterCore.update
-            s_inno = p11 + r
-            k1 = p11 / s_inno
-            k2 = p12 / s_inno
-            inno = zi - v
-            v += k1 * inno
-            theta += k2 * inno
-            one_m = 1.0 - k1
-            p22 = p22 - k2 * p12
-            p12 = one_m * p12
-            p11 = one_m * p11
-            s_app(s_inno)
-            inno_app(inno)
-        elif i == map_tick:
+            theta_out[i] = theta
+            var_out[i] = p22
+            v_out[i] = v
+            if smooth:
+                f11[i] = p11
+                f12[i] = p12
+        start = stop
+
+        if kind == "inflate":
+            # Reacquisition: inflate *before* this tick's predict so the
+            # first post-outage update sees an honestly uncertain prior.
+            p11 *= inflation
+            p12 *= inflation
+            p22 *= inflation
+            n_inflations += 1
+        elif kind == "map" and z_list[tick] != z_list[tick]:
             # GPS-denied: fuse the prior-map gradient at this tick's
             # estimated arc length (GradientFilterCore.update_theta).
             s_inno = p22 + ev_r
@@ -540,13 +551,12 @@ def _forward_pass(
             p12 = one_m * p12
             p22 = one_m * p22
             n_map_updates += 1
-
-        theta_app(theta)
-        var_app(p22)
-        v_app(v)
-        if smooth:
-            f11_app(p11)
-            f12_app(p12)
+            theta_out[tick] = theta
+            var_out[tick] = p22
+            v_out[tick] = v
+            if smooth:
+                f11[tick] = p11
+                f12[tick] = p12
 
     core.v, core.theta = v, theta
     core.p11, core.p12, core.p22 = p11, p12, p22
@@ -634,9 +644,10 @@ def estimate_track(
     )
     if fwd.history is not None:
         _rts_backward(fwd.history, fwd.theta, fwd.var, fwd.v)
-    theta_arr = np.array(fwd.theta, dtype=float)
-    var_arr = np.array(fwd.var, dtype=float)
-    v_arr = np.array(fwd.v, dtype=float)
+    # The track's arrays are the forward pass's buffers, not copies.
+    theta_arr = np.frombuffer(fwd.theta)
+    var_arr = np.frombuffer(fwd.var)
+    v_arr = np.frombuffer(fwd.v)
 
     if tel is not None:
         if fwd.innovations:
@@ -653,8 +664,8 @@ def estimate_track(
             track_name,
             theta_arr,
             var_arr,
-            innovations=np.array(fwd.innovations),
-            s=np.array(fwd.inno_var),
+            innovations=np.frombuffer(fwd.innovations),
+            s=np.frombuffer(fwd.inno_var),
             update_ticks=np.flatnonzero(updated),
             dt=dt,
             n_ticks=n,
@@ -685,9 +696,9 @@ def estimate_track(
 
 def _rts_backward(
     hist: _History,
-    theta_out: list[float],
-    var_out: list[float],
-    v_out: list[float],
+    theta_out: array[float],
+    var_out: array[float],
+    v_out: array[float],
 ) -> None:
     """Rauch-Tung-Striebel backward pass for the scalar 2-state filter.
 

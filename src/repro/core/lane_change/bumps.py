@@ -58,24 +58,23 @@ def find_bumps(
 
     floor = thresholds.threshold_coeff * thresholds.delta
     hot = np.abs(w) >= floor
-    sign = np.sign(w).astype(int)
+    # Label each sample 0 (cold) or sign(w) + 2 (hot, sign -1/0/+1); an
+    # excursion is a maximal run of one nonzero label, and the label changes
+    # exactly at the run edges.
+    label = np.where(hot, np.sign(w) + 2.0, 0.0)
+    edges = np.flatnonzero(np.diff(label, prepend=0.0, append=0.0))
+    starts, ends = edges[:-1], edges[1:]
+    # A run shorter than two samples never qualifies.
+    keep = (label[starts] > 0.0) & (ends - starts >= 2)
 
     bumps: list[Bump] = []
-    i = 0
-    n = len(w)
-    while i < n:
-        if not hot[i]:
-            i += 1
-            continue
-        j = i
-        while j < n and hot[j] and sign[j] == sign[i]:
-            j += 1
+    for i, j in zip(starts[keep].tolist(), ends[keep].tolist()):
         seg_w = w[i:j]
         seg_t = t[i:j]
-        bump_sign = int(sign[i])
+        bump_sign = int(label[i]) - 2
         peak_rel = int(np.argmax(bump_sign * seg_w))
         delta = float(bump_sign * seg_w[peak_rel])
-        if delta >= thresholds.delta and len(seg_w) >= 2:
+        if delta >= thresholds.delta:
             level = thresholds.threshold_coeff * delta
             above = bump_sign * seg_w >= level
             lo = peak_rel
@@ -99,5 +98,4 @@ def find_bumps(
                         t_peak=float(seg_t[peak_rel]),
                     )
                 )
-        i = j
     return bumps

@@ -693,10 +693,9 @@ class StreamingGradientEstimator:
             # math.sin(inf): a tick overflowed theta and the pass went on
             # where _tick would have recovered.
             theta = None
-        # A sum is finite only if every term is (overflow merely forces the
-        # safe per-tick replay).
+        # Any non-finite output forces the safe per-tick replay.
         if theta is None or not (
-            math.isfinite(sum(theta)) and math.isfinite(sum(v_out))
+            np.isfinite(theta).all() and np.isfinite(v_out).all()
         ):
             (core.v, core.theta, core.p11, core.p12, core.p22,
              core.b, core.c, core.d) = saved

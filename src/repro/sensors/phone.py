@@ -83,7 +83,10 @@ class PhoneRecording:
 
         The integration is anchored at every valid GPS fix and drifts in
         between (and through outages) because the raw channel contains both
-        the gravity component of the gradient and the sensor bias.
+        the gravity component of the gradient and the sensor bias. An
+        accelerometer that overflows the integral to ``inf`` yields NaN
+        velocity samples (``inf - inf`` at the anchoring), which the EKF
+        skips as missing measurements.
         """
         a = self.accel_long.values
         v_int = np.cumsum(a * self.dt)
@@ -94,7 +97,8 @@ class PhoneRecording:
             v_int_at_fix = np.interp(t_fix, self.t, v_int)
             offsets = v_fix - v_int_at_fix
             idx = np.clip(np.searchsorted(t_fix, self.t, side="right") - 1, 0, len(t_fix) - 1)
-            values = v_int + offsets[idx]
+            with np.errstate(invalid="ignore"):  # inf + -inf -> NaN, see above
+                values = v_int + offsets[idx]
         else:
             v0 = float(self.speedometer.values[0])
             values = v_int - v_int[0] + v0

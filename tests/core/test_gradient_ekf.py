@@ -1,5 +1,7 @@
 """Per-track gradient EKF tests."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -176,6 +178,25 @@ class TestEngines:
         fast = estimate_track(accel, vel, s, config=cfg)
         slow = estimate_track_generic(accel, vel, s, config=cfg)
         assert np.allclose(fast.theta, slow.theta, atol=1e-9)
+
+
+    @pytest.mark.parametrize("smooth", [False, True])
+    def test_scalar_track_arrays_are_plain_float64(self, smooth):
+        # The scalar engine hands out its forward-pass buffers without a
+        # copy; they must behave as ordinary arrays, including the pickle
+        # round trip the process-pool evaluator ships tracks through.
+        accel, vel, s = synthetic_signals(n=300, noise=0.05, seed=5)
+        track = estimate_track(accel, vel, s, config=GradientEKFConfig(smooth=smooth))
+        assert track.meta["engine"] == "scalar"
+        back = pickle.loads(pickle.dumps(track))
+        for name in ("theta", "variance", "v"):
+            arr = getattr(track, name)
+            assert arr.dtype == np.float64
+            assert arr.flags.c_contiguous and arr.flags.writeable
+            copy = getattr(back, name)
+            assert copy.dtype == np.float64 and copy.flags.writeable
+            assert np.array_equal(copy, arr)
+        assert back.meta == track.meta
 
 
 class TestConfig:
