@@ -9,6 +9,10 @@ of the map matcher (the ``alignment.matched_fixes`` counter).
 * ``estimate/faulty-<seed>``: one faulty trip (a GPS dropout, an
   accelerometer NaN burst and timestamp jitter) through ``estimate`` with
   ``ROBUST_STAGES``.
+* ``estimate/gps-denied-7``: one red-route trip with a 30 s GPS dropout
+  at 40 s through ``estimate`` with ``ROBUST_STAGES`` and the GPS-denied
+  mode on, fed a prior map built from the true profile. It also records
+  the GPS track's outage plan (map updates, reacquisitions).
 * ``estimate_batch/ragged-8``: eight clean trips of different lengths
   through one ``estimate_batch`` call. Their 32 EKF tracks take the
   vectorized kernel, and fewer than ``BATCH_MIN_TRACKS`` of them are still
@@ -50,7 +54,9 @@ from repro.datasets.charlottesville import red_route
 from repro.eval.parallel import ParallelConfig, evaluate_trips
 from repro.eval.runner import RunnerConfig, simulate_recording, system_config
 from repro.faults.suite import FaultSpec, FaultSuiteConfig, apply_fault_suite
+from repro.core.dead_reckoning import GPSDeniedConfig
 from repro.obs import Telemetry
+from repro.roads.prior_map import PriorGradeMap
 
 GOLDEN_PATH = Path(__file__).with_name("offline_golden.json")
 
@@ -60,6 +66,10 @@ PROBE_TICKS = (0, 1, 49, 500, 2999, 6000, 8800)
 
 #: Seeds of the faulty ``estimate`` trips.
 FAULTY_SEEDS = (3, 4, 5)
+
+#: Seed of the GPS-denied ``estimate`` trip, and its dropout window [s].
+GPS_DENIED_SEED = 7
+GPS_DENIED_DROPOUT = (40.0, 30.0)
 
 #: Seed and trip count of the ragged ``estimate_batch`` case.
 BATCH_SEED = 11
@@ -172,6 +182,28 @@ def run_faulty(seed: int) -> dict:
     return record_trip(system.estimate(_faulty_trip(seed)), tel)
 
 
+def run_gps_denied(seed: int) -> dict:
+    """A trip with a GPS dropout through ``estimate`` with the GPS-denied
+    mode and a prior map of the true profile."""
+    route = red_route()
+    _, rec = simulate_recording(route, RunnerConfig(seed=seed), 0)
+    start_s, duration_s = GPS_DENIED_DROPOUT
+    suite = FaultSuiteConfig(
+        faults=(FaultSpec(kind="gps_dropout", start_s=start_s, duration_s=duration_s),),
+        seed=seed,
+    )
+    gps_denied = GPSDeniedConfig(
+        enabled=True, prior_map=PriorGradeMap.from_profile(route).to_config()
+    )
+    cfg = system_config(RunnerConfig(stages=ROBUST_STAGES, gps_denied=gps_denied))
+    tel = _telemetry(f"gps-denied-{seed}")
+    system = GradientEstimationSystem(route, config=cfg, telemetry=tel)
+    result = system.estimate(apply_fault_suite(rec, suite, 0))
+    record = record_trip(result, tel)
+    record["gps_plan"] = result.tracks["gps"].meta["gps_denied"]
+    return record
+
+
 def run_batch() -> list[dict]:
     """The ragged batch through one ``estimate_batch`` call."""
     recs = batch_recordings()
@@ -232,6 +264,7 @@ def eval_case_names() -> list[str]:
 def case_names() -> list[str]:
     return (
         [f"estimate/faulty-{s}" for s in FAULTY_SEEDS]
+        + [f"estimate/gps-denied-{GPS_DENIED_SEED}"]
         + [f"estimate_batch/ragged-{BATCH_TRIPS}"]
         + eval_case_names()
     )
@@ -240,6 +273,8 @@ def case_names() -> list[str]:
 def run_case(name: str):
     """The named case's golden record."""
     kind, _, label = name.partition("/")
+    if kind == "estimate" and label.startswith("gps-denied-"):
+        return run_gps_denied(int(label.rsplit("-", 1)[1]))
     if kind == "estimate":
         return run_faulty(int(label.rsplit("-", 1)[1]))
     if kind == "estimate_batch":
