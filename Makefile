@@ -120,9 +120,11 @@ perfbench:
 	python3 perfbench/run.py --workload all --seed 0 --seconds 20
 
 # Cold start per workload: the setup.* per-layer lines (import, build, first
-# call) of a short traced run of all three workloads.
+# call) of a short traced run of all three workloads, then the repro modules
+# and source lines a fresh `import repro` and one `estimate` load.
 coldstart:
 	python3 perfbench/run.py --workload all --seed 0 --seconds 2 --trace 1 | grep -F ' setup.'
+	PYTHONPATH=src python benchmarks/import_budget.py
 
 profile:
 	PYTHONPATH=src python -m repro.obs.profile --trips 3

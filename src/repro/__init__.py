@@ -17,140 +17,113 @@ Quickstart::
     print(result.fused.theta)          # estimated gradient [rad] along the route
 """
 
-from .apps import (
-    compare_routes,
-    least_fuel_route,
-    optimize_velocity_profile,
-    reconstruct_elevation,
-)
-from .baselines import (
-    ANNBaselineConfig,
-    ANNGradientEstimator,
-    estimate_gradient_ekf_baseline,
-)
-from .config import SerializableConfig
-from .core import (
-    ROBUST_STAGES,
-    EstimationResult,
-    GradientEKFConfig,
-    GradientEstimationSystem,
-    GradientFilterCore,
-    GradientSystemConfig,
-    GradientTrack,
-    LaneChangeDetector,
-    LaneChangeDetectorConfig,
-    LaneChangeEvent,
-    LaneChangeThresholds,
-    PipelineContext,
-    SanitizeConfig,
-    Stage,
-    estimate_track,
-    fuse_estimates,
-    fuse_tracks,
-    register_stage,
-)
-from .datasets import (
-    calibrated_thresholds,
-    city_network,
-    red_route,
-    run_steering_study,
-    s_curve_route,
-)
-from .emissions import CO2, PM25, FuelModel, gradient_fuel_uplift, network_emission_map
-from .errors import DegradedInputError, FaultInjectionError, ReproError
-from .eval import ComparisonResult, RunnerConfig, evaluate_fusion_counts, evaluate_methods
-from .faults import FAULT_KINDS, FaultSpec, FaultSuiteConfig, apply_fault_suite
-from .obs import NullTelemetry, Telemetry, export_run, telemetry_enabled
-from .scenarios import (
-    SCENARIOS,
-    DriverSpec,
-    ScenarioConfig,
-    TripPlanSpec,
-    VehicleCohortSpec,
-    scenario_by_name,
-)
-from .roads import (
-    RoadNetwork,
-    RoadProfile,
-    SectionSpec,
-    build_profile,
-    generate_city_network,
-    survey_reference_profile,
-)
-from .sensors import PhoneRecording, Smartphone
-from .vehicle import DriverProfile, TruthTrace, VehicleParams, simulate_trip
+import importlib
+from typing import Any, Callable
+
+
+def _lazy_exports(
+    namespace: dict[str, Any], exports: dict[str, str]
+) -> tuple[list[str], Callable[[str], Any], Callable[[], list[str]]]:
+    """``__all__``, ``__getattr__`` and ``__dir__`` of a package facade.
+
+    ``exports`` maps each public name to the module, relative to the
+    package whose globals are ``namespace``, that defines it. A name's
+    module is imported on first access (PEP 562) and the value is stored
+    in ``namespace``, so later lookups never reach ``__getattr__``. Every
+    package ``__init__`` in ``repro`` is one such map: importing a package
+    imports none of its modules.
+    """
+    package = namespace["__name__"]
+
+    def __getattr__(name: str) -> Any:
+        try:
+            module = exports[name]
+        except KeyError:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}") from None
+        value = getattr(importlib.import_module(module, package), name)
+        namespace[name] = value
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted(namespace.keys() | exports.keys())
+
+    return list(exports), __getattr__, __dir__
+
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "compare_routes",
-    "least_fuel_route",
-    "optimize_velocity_profile",
-    "reconstruct_elevation",
-    "ANNBaselineConfig",
-    "ANNGradientEstimator",
-    "estimate_gradient_ekf_baseline",
-    "EstimationResult",
-    "GradientEKFConfig",
-    "GradientEstimationSystem",
-    "GradientFilterCore",
-    "GradientSystemConfig",
-    "GradientTrack",
-    "LaneChangeDetector",
-    "LaneChangeDetectorConfig",
-    "LaneChangeEvent",
-    "LaneChangeThresholds",
-    "PipelineContext",
-    "ROBUST_STAGES",
-    "SanitizeConfig",
-    "SerializableConfig",
-    "Stage",
-    "estimate_track",
-    "fuse_estimates",
-    "fuse_tracks",
-    "register_stage",
-    "calibrated_thresholds",
-    "city_network",
-    "red_route",
-    "run_steering_study",
-    "s_curve_route",
-    "CO2",
-    "PM25",
-    "FuelModel",
-    "gradient_fuel_uplift",
-    "network_emission_map",
-    "ReproError",
-    "DegradedInputError",
-    "FaultInjectionError",
-    "FAULT_KINDS",
-    "FaultSpec",
-    "FaultSuiteConfig",
-    "SCENARIOS",
-    "DriverSpec",
-    "ScenarioConfig",
-    "TripPlanSpec",
-    "VehicleCohortSpec",
-    "scenario_by_name",
-    "apply_fault_suite",
-    "NullTelemetry",
-    "Telemetry",
-    "export_run",
-    "telemetry_enabled",
-    "ComparisonResult",
-    "RunnerConfig",
-    "evaluate_fusion_counts",
-    "evaluate_methods",
-    "RoadNetwork",
-    "RoadProfile",
-    "SectionSpec",
-    "build_profile",
-    "generate_city_network",
-    "survey_reference_profile",
-    "PhoneRecording",
-    "Smartphone",
-    "DriverProfile",
-    "TruthTrace",
-    "VehicleParams",
-    "simulate_trip",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(
+    globals(),
+    {
+        "compare_routes": ".apps.routing",
+        "least_fuel_route": ".apps.routing",
+        "optimize_velocity_profile": ".apps.velocity_optimizer",
+        "reconstruct_elevation": ".apps.elevation",
+        "ANNBaselineConfig": ".baselines.ann",
+        "ANNGradientEstimator": ".baselines.ann",
+        "estimate_gradient_ekf_baseline": ".baselines.ekf_altitude",
+        "SerializableConfig": ".config",
+        "ROBUST_STAGES": ".core.stages",
+        "EstimationResult": ".core.pipeline",
+        "GradientEKFConfig": ".core.gradient_ekf",
+        "GradientEstimationSystem": ".core.pipeline",
+        "GradientFilterCore": ".core.gradient_ekf",
+        "GradientSystemConfig": ".core.pipeline",
+        "GradientTrack": ".core.track",
+        "LaneChangeDetector": ".core.lane_change.detector",
+        "LaneChangeDetectorConfig": ".core.lane_change.detector",
+        "LaneChangeEvent": ".core.lane_change.detector",
+        "LaneChangeThresholds": ".core.lane_change.features",
+        "PipelineContext": ".core.stages",
+        "SanitizeConfig": ".core.sanitize",
+        "Stage": ".core.stages",
+        "estimate_track": ".core.gradient_ekf",
+        "fuse_estimates": ".core.pipeline",
+        "fuse_tracks": ".core.track_fusion",
+        "register_stage": ".core.stages",
+        "calibrated_thresholds": ".datasets.steering_study",
+        "city_network": ".datasets.charlottesville",
+        "red_route": ".datasets.charlottesville",
+        "run_steering_study": ".datasets.steering_study",
+        "s_curve_route": ".datasets.charlottesville",
+        "CO2": ".emissions.pollution",
+        "PM25": ".emissions.pollution",
+        "FuelModel": ".emissions.vsp",
+        "gradient_fuel_uplift": ".emissions.fuel",
+        "network_emission_map": ".emissions.traffic",
+        "DegradedInputError": ".errors",
+        "FaultInjectionError": ".errors",
+        "ReproError": ".errors",
+        "ComparisonResult": ".eval.runner",
+        "RunnerConfig": ".eval.runner",
+        "evaluate_fusion_counts": ".eval.runner",
+        "evaluate_methods": ".eval.runner",
+        "FAULT_KINDS": ".faults.suite",
+        "FaultSpec": ".faults.suite",
+        "FaultSuiteConfig": ".faults.suite",
+        "apply_fault_suite": ".faults.suite",
+        "NullTelemetry": ".obs.telemetry",
+        "Telemetry": ".obs.telemetry",
+        "export_run": ".obs.export",
+        "telemetry_enabled": ".obs.logging",
+        "SCENARIOS": ".scenarios.config",
+        "DriverSpec": ".scenarios.driver",
+        "ScenarioConfig": ".scenarios.config",
+        "TripPlanSpec": ".scenarios.trip_plans",
+        "VehicleCohortSpec": ".scenarios.vehicle",
+        "scenario_by_name": ".scenarios.config",
+        "RoadNetwork": ".roads.network",
+        "RoadProfile": ".roads.profile",
+        "SectionSpec": ".roads.builder",
+        "build_profile": ".roads.builder",
+        "generate_city_network": ".roads.generator",
+        "survey_reference_profile": ".roads.reference",
+        "PhoneRecording": ".sensors.phone",
+        "Smartphone": ".sensors.phone",
+        "DriverProfile": ".vehicle.driver",
+        "TruthTrace": ".vehicle.trip",
+        "VehicleParams": ".vehicle.params",
+        "simulate_trip": ".vehicle.simulator",
+    },
+)
+__all__.append("__version__")

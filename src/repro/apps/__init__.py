@@ -8,23 +8,20 @@ Cross-vehicle cloud fusion (Eq 6 over many trips' estimates) is
 :func:`repro.core.fuse_estimates`.
 """
 
-from .elevation import ElevationEstimate, climb_statistics, reconstruct_elevation
-from .routing import RouteComparison, compare_routes, edge_fuel_cost, least_fuel_route
-from .velocity_optimizer import (
-    VelocityOptimizerConfig,
-    VelocityPlan,
-    optimize_velocity_profile,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "ElevationEstimate",
-    "climb_statistics",
-    "reconstruct_elevation",
-    "RouteComparison",
-    "compare_routes",
-    "edge_fuel_cost",
-    "least_fuel_route",
-    "VelocityOptimizerConfig",
-    "VelocityPlan",
-    "optimize_velocity_profile",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(
+    globals(),
+    {
+        "ElevationEstimate": ".elevation",
+        "climb_statistics": ".elevation",
+        "reconstruct_elevation": ".elevation",
+        "RouteComparison": ".routing",
+        "compare_routes": ".routing",
+        "edge_fuel_cost": ".routing",
+        "least_fuel_route": ".routing",
+        "VelocityOptimizerConfig": ".velocity_optimizer",
+        "VelocityPlan": ".velocity_optimizer",
+        "optimize_velocity_profile": ".velocity_optimizer",
+    },
+)

@@ -48,7 +48,7 @@ import numpy as np
 
 from ..constants import GRAVITY
 from ..errors import EstimationError
-from ..obs import Telemetry
+from ..obs.telemetry import Telemetry
 from ..sensors.base import SampledSignal
 from ..vehicle.params import DEFAULT_VEHICLE, VehicleParams
 from .gradient_ekf import (

@@ -41,7 +41,7 @@ import numpy as np
 from ..config import SerializableConfig
 from ..constants import GRAVITY
 from ..errors import ConfigurationError, DegradedInputError, EstimationError
-from ..obs import Telemetry
+from ..obs.telemetry import Telemetry
 from ..sensors.base import SampledSignal
 from ..vehicle.params import DEFAULT_VEHICLE, VehicleParams
 from .track import GradientTrack, readonly_view

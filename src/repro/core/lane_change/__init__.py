@@ -1,42 +1,28 @@
 """Lane-change detection and correction (paper Sec III-B)."""
 
-from .bumps import Bump, find_bumps
-from .correction import correct_velocity_array, correct_velocity_signal, heading_deviation
-from .detector import (
-    PAPER_THRESHOLDS,
-    LaneChangeDetector,
-    LaneChangeDetectorConfig,
-    LaneChangeEvent,
-    lateral_displacement,
-)
-from .features import (
-    BumpFeatures,
-    LaneChangeThresholds,
-    ManeuverFeatures,
-    calibrate_thresholds,
-    maneuver_features,
-    measure_bump,
-)
-from .smoothing import loess_smooth, loess_smooth_batch, tricube_kernel
+from ... import _lazy_exports
 
-__all__ = [
-    "Bump",
-    "find_bumps",
-    "correct_velocity_array",
-    "correct_velocity_signal",
-    "heading_deviation",
-    "PAPER_THRESHOLDS",
-    "LaneChangeDetector",
-    "LaneChangeDetectorConfig",
-    "LaneChangeEvent",
-    "lateral_displacement",
-    "BumpFeatures",
-    "LaneChangeThresholds",
-    "ManeuverFeatures",
-    "calibrate_thresholds",
-    "maneuver_features",
-    "measure_bump",
-    "loess_smooth",
-    "loess_smooth_batch",
-    "tricube_kernel",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(
+    globals(),
+    {
+        "Bump": ".bumps",
+        "find_bumps": ".bumps",
+        "correct_velocity_array": ".correction",
+        "correct_velocity_signal": ".correction",
+        "heading_deviation": ".correction",
+        "PAPER_THRESHOLDS": ".detector",
+        "LaneChangeDetector": ".detector",
+        "LaneChangeDetectorConfig": ".detector",
+        "LaneChangeEvent": ".detector",
+        "lateral_displacement": ".detector",
+        "BumpFeatures": ".features",
+        "LaneChangeThresholds": ".features",
+        "ManeuverFeatures": ".features",
+        "calibrate_thresholds": ".features",
+        "maneuver_features": ".features",
+        "measure_bump": ".features",
+        "loess_smooth": ".smoothing",
+        "loess_smooth_batch": ".smoothing",
+        "tricube_kernel": ".smoothing",
+    },
+)

@@ -27,7 +27,7 @@ from ...constants import (
     T_MIN_S,
 )
 from ...errors import EstimationError
-from ...obs import NULL_TELEMETRY, Telemetry
+from ...obs.telemetry import NULL_TELEMETRY, Telemetry
 from ...sensors.alignment import AlignedSteering
 from .bumps import Bump, find_bumps
 from .features import LaneChangeThresholds

@@ -67,7 +67,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..errors import EstimationError
-from ..obs import Telemetry
+from ..obs.telemetry import Telemetry
 from ..vehicle.params import VehicleParams
 from .dead_reckoning import DeadReckoner, GPSDeniedConfig
 from .gradient_ekf import GradientEKFConfig, GradientFilterCore, _forward_pass

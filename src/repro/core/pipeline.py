@@ -29,7 +29,7 @@ import numpy as np
 
 from ..config import SerializableConfig
 from ..errors import EstimationError
-from ..obs import NULL_TELEMETRY, Telemetry
+from ..obs.telemetry import NULL_TELEMETRY, Telemetry
 from ..obs.health import HealthConfig, HealthMonitor, HealthReport
 from ..roads.cache import CachedRoadProfile
 from ..roads.profile import RoadProfile

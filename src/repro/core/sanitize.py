@@ -42,7 +42,7 @@ import numpy as np
 
 from ..config import SerializableConfig
 from ..errors import ConfigurationError, DegradedInputError
-from ..obs import NULL_TELEMETRY, Telemetry
+from ..obs.telemetry import NULL_TELEMETRY, Telemetry
 from ..sensors.base import SampledSignal
 from ..sensors.gps import GPSFixes
 from ..sensors.phone import PhoneRecording

@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Any, Callable, Protocol, runtime_checkable
 import numpy as np
 
 from ..errors import DegradedInputError, EstimationError, FusionError
-from ..obs import Telemetry
+from ..obs.telemetry import Telemetry
 from ..roads.profile import RoadProfile
 from ..sensors.alignment import AlignedSteering, CoordinateAlignment, map_match
 from ..sensors.base import SampledSignal

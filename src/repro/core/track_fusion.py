@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import FusionError
-from ..obs import NULL_TELEMETRY, Telemetry
+from ..obs.telemetry import NULL_TELEMETRY, Telemetry
 from .track import GradientTrack
 
 __all__ = ["fuse_tracks", "convex_combination"]

@@ -1,29 +1,23 @@
 """Application layer: VSP fuel model, pollution factors, traffic maps."""
 
-from .fuel import (
-    RoadFuelSummary,
-    gradient_fuel_uplift,
-    network_fuel_map,
-    profile_fuel_rate,
-    route_fuel_gallons,
-)
-from .pollution import CO2, PM25, EmissionFactor, emission_grams
-from .traffic import RoadEmissionSummary, hourly_flow_from_aadt, network_emission_map
-from .vsp import FuelModel, fuel_rate_gph
+from .. import _lazy_exports
 
-__all__ = [
-    "RoadFuelSummary",
-    "gradient_fuel_uplift",
-    "network_fuel_map",
-    "profile_fuel_rate",
-    "route_fuel_gallons",
-    "CO2",
-    "PM25",
-    "EmissionFactor",
-    "emission_grams",
-    "RoadEmissionSummary",
-    "hourly_flow_from_aadt",
-    "network_emission_map",
-    "FuelModel",
-    "fuel_rate_gph",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(
+    globals(),
+    {
+        "RoadFuelSummary": ".fuel",
+        "gradient_fuel_uplift": ".fuel",
+        "network_fuel_map": ".fuel",
+        "profile_fuel_rate": ".fuel",
+        "route_fuel_gallons": ".fuel",
+        "CO2": ".pollution",
+        "PM25": ".pollution",
+        "EmissionFactor": ".pollution",
+        "emission_grams": ".pollution",
+        "RoadEmissionSummary": ".traffic",
+        "hourly_flow_from_aadt": ".traffic",
+        "network_emission_map": ".traffic",
+        "FuelModel": ".vsp",
+        "fuel_rate_gph": ".vsp",
+    },
+)

@@ -35,7 +35,7 @@ from ..core.dead_reckoning import GPSDeniedConfig
 from ..core.gradient_ekf import GradientEKFConfig, measurements_on_timebase
 from ..core.online import StreamingGradientEstimator
 from ..errors import ConfigurationError
-from ..obs import NULL_TELEMETRY, Telemetry
+from ..obs.telemetry import NULL_TELEMETRY, Telemetry
 from ..roads.prior_map import PriorGradeMap
 from ..roads.profile import RoadProfile
 from .runner import RunnerConfig, make_system, simulate_recording

@@ -35,7 +35,7 @@ from ..config import SerializableConfig
 from ..core.stages import ROBUST_STAGES
 from ..errors import ConfigurationError, ReproError
 from ..faults.suite import FAULT_KINDS
-from ..obs import NULL_TELEMETRY, Telemetry
+from ..obs.telemetry import NULL_TELEMETRY, Telemetry
 from ..roads.profile import RoadProfile
 from ..scenarios.config import scenario_by_name, scenario_names
 from ..scenarios.driver import DRIVER_STYLES, driver_style_names

@@ -65,7 +65,7 @@ from ..config import SerializableConfig
 from ..core.track import GradientTrack
 from ..core.track_fusion import fuse_tracks
 from ..errors import ConfigurationError, EstimationError
-from ..obs import NULL_TELEMETRY, Telemetry
+from ..obs.telemetry import NULL_TELEMETRY, Telemetry
 from ..roads.profile import RoadProfile
 from ..roads.reference import survey_reference_profile
 from .metrics import mean_absolute_error, mean_relative_error

@@ -44,7 +44,7 @@ from ..config import SerializableConfig
 from ..core.stages import ROBUST_STAGES
 from ..errors import ConfigurationError, ReproError
 from ..faults.suite import FAULT_KINDS, FaultSpec, FaultSuiteConfig
-from ..obs import NULL_TELEMETRY, Telemetry
+from ..obs.telemetry import NULL_TELEMETRY, Telemetry
 from ..roads.profile import RoadProfile
 from .metrics import root_mean_square_error
 from .parallel import ParallelConfig, evaluate_trips

@@ -38,7 +38,7 @@ from ..core.pipeline import (
 from ..datasets.steering_study import calibrated_thresholds
 from ..errors import ConfigurationError
 from ..faults.suite import FaultSuiteConfig, apply_fault_suite
-from ..obs import NULL_TELEMETRY, Telemetry
+from ..obs.telemetry import NULL_TELEMETRY, Telemetry
 from ..obs.health import HealthConfig
 from ..roads.profile import RoadProfile
 from ..roads.reference import survey_reference_profile

@@ -9,31 +9,23 @@ objects. The resilience matrix (:mod:`repro.eval.resilience`) sweeps these
 scenarios against the degradation machinery in the core pipeline.
 """
 
-from .models import (
-    SIGNAL_CHANNELS,
-    BarometerDriftStep,
-    FaultModel,
-    GPSDropout,
-    GPSMultipathBias,
-    NonFiniteBurst,
-    SaturationClip,
-    StuckSensor,
-    TimestampJitter,
-)
-from .suite import FAULT_KINDS, FaultSpec, FaultSuiteConfig, apply_fault_suite
+from .. import _lazy_exports
 
-__all__ = [
-    "SIGNAL_CHANNELS",
-    "BarometerDriftStep",
-    "FaultModel",
-    "GPSDropout",
-    "GPSMultipathBias",
-    "NonFiniteBurst",
-    "SaturationClip",
-    "StuckSensor",
-    "TimestampJitter",
-    "FAULT_KINDS",
-    "FaultSpec",
-    "FaultSuiteConfig",
-    "apply_fault_suite",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(
+    globals(),
+    {
+        "SIGNAL_CHANNELS": ".models",
+        "BarometerDriftStep": ".models",
+        "FaultModel": ".models",
+        "GPSDropout": ".models",
+        "GPSMultipathBias": ".models",
+        "NonFiniteBurst": ".models",
+        "SaturationClip": ".models",
+        "StuckSensor": ".models",
+        "TimestampJitter": ".models",
+        "FAULT_KINDS": ".suite",
+        "FaultSpec": ".suite",
+        "FaultSuiteConfig": ".suite",
+        "apply_fault_suite": ".suite",
+    },
+)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import sys
 
-from . import main
+from .cli import main
 
 if __name__ == "__main__":
     sys.exit(main(sys.argv[1:]))

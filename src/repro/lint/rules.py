@@ -26,6 +26,10 @@ RL007     unjustified-suppression every ``reprolint: disable`` carries a
 
 Rules are pure AST walks — nothing here imports the code under analysis, so
 the linter can run on a tree that does not even import cleanly.
+
+Importing this module registers the rules. It re-exports the engine's
+``RULE_REGISTRY`` and ``lint_paths``, and the package and the command line
+take both from here, so neither comes without its rules.
 """
 
 from __future__ import annotations
@@ -35,14 +39,18 @@ import re
 from typing import Iterator
 
 from .framework import (
+    RULE_REGISTRY,
     FileContext,
     Finding,
     ProjectRule,
     Rule,
+    lint_paths,
     register_rule,
 )
 
 __all__ = [
+    "RULE_REGISTRY",
+    "lint_paths",
     "METRIC_NAME_RE",
     "METRIC_EMIT_METHODS",
     "NoNondeterminismRule",

@@ -25,94 +25,45 @@ what the pipeline threads through its stages; :class:`NullTelemetry`
 the hot paths free when observability is off.
 """
 
-from typing import TYPE_CHECKING, Any
+from .. import _lazy_exports
 
-from .export import (
-    export_run,
-    format_span_tree,
-    prometheus_text,
-    write_json,
-    write_jsonl,
-    write_prometheus,
+__all__, __getattr__, __dir__ = _lazy_exports(
+    globals(),
+    {
+        "export_run": ".export",
+        "format_span_tree": ".export",
+        "prometheus_text": ".export",
+        "write_json": ".export",
+        "write_jsonl": ".export",
+        "write_prometheus": ".export",
+        "HealthConfig": ".health",
+        "HealthFlag": ".health",
+        "HealthMonitor": ".health",
+        "HealthReport": ".health",
+        "StreamingHealthMonitor": ".health",
+        "TrackHealth": ".health",
+        "nis_bound": ".health",
+        "ENV_SWITCH": ".logging",
+        "JsonLinesFormatter": ".logging",
+        "KeyValueFormatter": ".logging",
+        "get_logger": ".logging",
+        "log_format": ".logging",
+        "telemetry_enabled": ".logging",
+        "build_manifest": ".manifest",
+        "git_revision": ".manifest",
+        "write_manifest": ".manifest",
+        "Counter": ".metrics",
+        "Gauge": ".metrics",
+        "Histogram": ".metrics",
+        "MetricsRegistry": ".metrics",
+        "metric_key": ".metrics",
+        "parse_metric_key": ".metrics",
+        "NULL_TELEMETRY": ".telemetry",
+        "NullTelemetry": ".telemetry",
+        "Telemetry": ".telemetry",
+        "from_env": ".telemetry",
+        "Span": ".trace",
+        "Tracer": ".trace",
+        "Profiler": ".profile",
+    },
 )
-from .health import (
-    HealthConfig,
-    HealthFlag,
-    HealthMonitor,
-    HealthReport,
-    StreamingHealthMonitor,
-    TrackHealth,
-    nis_bound,
-)
-from .logging import (
-    ENV_SWITCH,
-    JsonLinesFormatter,
-    KeyValueFormatter,
-    get_logger,
-    log_format,
-    telemetry_enabled,
-)
-from .manifest import build_manifest, git_revision, write_manifest
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    metric_key,
-    parse_metric_key,
-)
-from .telemetry import NULL_TELEMETRY, NullTelemetry, Telemetry, from_env
-from .trace import Span, Tracer
-
-if TYPE_CHECKING:  # pragma: no cover - typing only; imported lazily below
-    from .profile import Profiler
-
-
-def __getattr__(name: str) -> Any:
-    # Profiler is imported on first use: an eager import would put
-    # repro.obs.profile in sys.modules before ``python -m repro.obs.profile``
-    # runs it, and runpy warns about that.
-    if name == "Profiler":
-        from .profile import Profiler
-
-        return Profiler
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = [
-    "ENV_SWITCH",
-    "Counter",
-    "Gauge",
-    "HealthConfig",
-    "HealthFlag",
-    "HealthMonitor",
-    "HealthReport",
-    "Histogram",
-    "JsonLinesFormatter",
-    "KeyValueFormatter",
-    "MetricsRegistry",
-    "NULL_TELEMETRY",
-    "NullTelemetry",
-    "Profiler",
-    "Span",
-    "StreamingHealthMonitor",
-    "Telemetry",
-    "TrackHealth",
-    "Tracer",
-    "build_manifest",
-    "export_run",
-    "format_span_tree",
-    "from_env",
-    "get_logger",
-    "git_revision",
-    "log_format",
-    "metric_key",
-    "nis_bound",
-    "parse_metric_key",
-    "prometheus_text",
-    "telemetry_enabled",
-    "write_json",
-    "write_jsonl",
-    "write_manifest",
-    "write_prometheus",
-]

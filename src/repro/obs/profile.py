@@ -146,9 +146,9 @@ class Profiler:
         restores the registry on exit. Systems *built* inside the block are
         profiled; the stage objects themselves are untouched.
         """
-        from ..core import stages as _stages
+        from ..core.stages import STAGE_REGISTRY
 
-        saved = dict(_stages.STAGE_REGISTRY)
+        saved = dict(STAGE_REGISTRY)
         profiler = self
 
         def _wrap(factory: "Callable[[object], object]") -> "Callable[[object], object]":
@@ -158,12 +158,12 @@ class Profiler:
             return build
 
         for name, factory in saved.items():
-            _stages.STAGE_REGISTRY[name] = _wrap(factory)
+            STAGE_REGISTRY[name] = _wrap(factory)
         try:
             yield self
         finally:
-            _stages.STAGE_REGISTRY.clear()
-            _stages.STAGE_REGISTRY.update(saved)
+            STAGE_REGISTRY.clear()
+            STAGE_REGISTRY.update(saved)
 
     def wall(self, name: str) -> float:
         """Total wall time of one section (0.0 if never entered)."""

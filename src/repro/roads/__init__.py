@@ -1,49 +1,36 @@
 """Road substrate: geometry, terrain, profiles, networks, reference survey."""
 
-from .builder import SectionSpec, build_profile, s_curve_specs
-from .cache import CachedRoadProfile, LRUCache
-from .elevation import ConstantSlopeField, ElevationField, FlatField
-from .generator import CityGeneratorConfig, generate_city_network
-from .geometry import (
-    GeoPoint,
-    LocalFrame,
-    Polyline,
-    east_angle,
-    haversine_m,
-    unwrap_angles,
-    wrap_angle,
-)
-from .network import RoadEdge, RoadNetwork, concatenate_profiles
-from .prior_map import PriorGradeMap, PriorMapConfig
-from .profile import RoadProfile, RoadSection
-from .reference import ReferenceProfile, ReferenceSurveyConfig, survey_reference_profile
+from .. import _lazy_exports
 
-__all__ = [
-    "SectionSpec",
-    "build_profile",
-    "s_curve_specs",
-    "CachedRoadProfile",
-    "LRUCache",
-    "ConstantSlopeField",
-    "ElevationField",
-    "FlatField",
-    "CityGeneratorConfig",
-    "generate_city_network",
-    "GeoPoint",
-    "LocalFrame",
-    "Polyline",
-    "east_angle",
-    "haversine_m",
-    "unwrap_angles",
-    "wrap_angle",
-    "PriorGradeMap",
-    "PriorMapConfig",
-    "RoadEdge",
-    "RoadNetwork",
-    "concatenate_profiles",
-    "RoadProfile",
-    "RoadSection",
-    "ReferenceProfile",
-    "ReferenceSurveyConfig",
-    "survey_reference_profile",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(
+    globals(),
+    {
+        "SectionSpec": ".builder",
+        "build_profile": ".builder",
+        "s_curve_specs": ".builder",
+        "CachedRoadProfile": ".cache",
+        "LRUCache": ".cache",
+        "ConstantSlopeField": ".elevation",
+        "ElevationField": ".elevation",
+        "FlatField": ".elevation",
+        "CityGeneratorConfig": ".generator",
+        "generate_city_network": ".generator",
+        "GeoPoint": ".geometry",
+        "LocalFrame": ".geometry",
+        "Polyline": ".geometry",
+        "east_angle": ".geometry",
+        "haversine_m": ".geometry",
+        "unwrap_angles": ".geometry",
+        "wrap_angle": ".geometry",
+        "RoadEdge": ".network",
+        "RoadNetwork": ".network",
+        "concatenate_profiles": ".network",
+        "PriorGradeMap": ".prior_map",
+        "PriorMapConfig": ".prior_map",
+        "RoadProfile": ".profile",
+        "RoadSection": ".profile",
+        "ReferenceProfile": ".reference",
+        "ReferenceSurveyConfig": ".reference",
+        "survey_reference_profile": ".reference",
+    },
+)

@@ -7,47 +7,29 @@ and composes with the fault taxonomy — the scenario × fault × driver grid
 (:mod:`repro.eval.grid`) is the repo's standing accuracy regression suite.
 """
 
-from .config import (
-    SCENARIOS,
-    ResolvedTrip,
-    ScenarioConfig,
-    scenario_by_name,
-    scenario_names,
-)
-from .driver import DRIVER_STYLES, DriverSpec, driver_spec, driver_style_names
-from .trip_plan import (
-    TRIP_PLANS,
-    ZONE_KINDS,
-    TripPlanSpec,
-    ZoneKind,
-    trip_plan,
-    trip_plan_names,
-)
-from .vehicle import (
-    VEHICLE_COHORTS,
-    VehicleCohortSpec,
-    vehicle_cohort,
-    vehicle_cohort_names,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "DRIVER_STYLES",
-    "DriverSpec",
-    "ResolvedTrip",
-    "SCENARIOS",
-    "ScenarioConfig",
-    "TRIP_PLANS",
-    "TripPlanSpec",
-    "VEHICLE_COHORTS",
-    "VehicleCohortSpec",
-    "ZONE_KINDS",
-    "ZoneKind",
-    "driver_spec",
-    "driver_style_names",
-    "scenario_by_name",
-    "scenario_names",
-    "trip_plan",
-    "trip_plan_names",
-    "vehicle_cohort",
-    "vehicle_cohort_names",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(
+    globals(),
+    {
+        "SCENARIOS": ".config",
+        "ResolvedTrip": ".config",
+        "ScenarioConfig": ".config",
+        "scenario_by_name": ".config",
+        "scenario_names": ".config",
+        "DRIVER_STYLES": ".driver",
+        "DriverSpec": ".driver",
+        "driver_spec": ".driver",
+        "driver_style_names": ".driver",
+        "TRIP_PLANS": ".trip_plans",
+        "ZONE_KINDS": ".trip_plans",
+        "TripPlanSpec": ".trip_plans",
+        "ZoneKind": ".trip_plans",
+        "trip_plan": ".trip_plans",
+        "trip_plan_names": ".trip_plans",
+        "VEHICLE_COHORTS": ".vehicle",
+        "VehicleCohortSpec": ".vehicle",
+        "vehicle_cohort": ".vehicle",
+        "vehicle_cohort_names": ".vehicle",
+    },
+)

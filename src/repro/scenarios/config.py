@@ -1,7 +1,7 @@
 """Scenario configs: driver × trip plan × fleet, composable with faults.
 
 A :class:`ScenarioConfig` bundles one :class:`~repro.scenarios.driver.DriverSpec`,
-one :class:`~repro.scenarios.trip_plan.TripPlanSpec` and one
+one :class:`~repro.scenarios.trip_plans.TripPlanSpec` and one
 :class:`~repro.scenarios.vehicle.VehicleCohortSpec` under a scenario seed.
 It is a :class:`~repro.config.SerializableConfig` like the fault suite, so
 a scenario travels through JSON inside a
@@ -31,7 +31,7 @@ from ..roads.profile import RoadProfile
 from ..vehicle.driver import DriverProfile
 from ..vehicle.params import VehicleParams
 from .driver import DriverSpec, driver_spec, driver_style_names
-from .trip_plan import TripPlanSpec, trip_plan, trip_plan_names
+from .trip_plans import TripPlanSpec, trip_plan, trip_plan_names
 from .vehicle import VehicleCohortSpec, vehicle_cohort
 
 __all__ = [

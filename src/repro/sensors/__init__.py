@@ -1,33 +1,27 @@
 """Smartphone sensor substrate: noise models, sensors, alignment, recordings."""
 
-from .alignment import AlignedSteering, CoordinateAlignment, estimate_mounting_yaw, map_match
-from .barometer import Barometer
-from .base import SampledSignal, Sensor
-from .canbus import CanBusSpeed
-from .gps import GPSFixes, GPSReceiver
-from .imu import Accelerometer, Gyroscope
-from .noise import NoiseModel
-from .phone import VELOCITY_SOURCES, PhoneRecording, Smartphone
-from .recording_io import TripStore
-from .speedometer import Speedometer
+from .. import _lazy_exports
 
-__all__ = [
-    "AlignedSteering",
-    "CoordinateAlignment",
-    "estimate_mounting_yaw",
-    "map_match",
-    "Barometer",
-    "SampledSignal",
-    "Sensor",
-    "CanBusSpeed",
-    "GPSFixes",
-    "GPSReceiver",
-    "Accelerometer",
-    "Gyroscope",
-    "NoiseModel",
-    "VELOCITY_SOURCES",
-    "PhoneRecording",
-    "Smartphone",
-    "Speedometer",
-    "TripStore",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(
+    globals(),
+    {
+        "AlignedSteering": ".alignment",
+        "CoordinateAlignment": ".alignment",
+        "estimate_mounting_yaw": ".alignment",
+        "map_match": ".alignment",
+        "Barometer": ".barometer",
+        "SampledSignal": ".base",
+        "Sensor": ".base",
+        "CanBusSpeed": ".canbus",
+        "GPSFixes": ".gps",
+        "GPSReceiver": ".gps",
+        "Accelerometer": ".imu",
+        "Gyroscope": ".imu",
+        "NoiseModel": ".noise",
+        "VELOCITY_SOURCES": ".phone",
+        "PhoneRecording": ".phone",
+        "Smartphone": ".phone",
+        "TripStore": ".recording_io",
+        "Speedometer": ".speedometer",
+    },
+)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import AlignmentError
-from ..obs import NULL_TELEMETRY, Telemetry
+from ..obs.telemetry import NULL_TELEMETRY, Telemetry
 from ..roads.profile import RoadProfile
 from .base import SampledSignal
 from .gps import GPSFixes

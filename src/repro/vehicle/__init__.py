@@ -1,34 +1,27 @@
 """Vehicle substrate: dynamics, driver behaviour, trip simulation."""
 
-from .driver import DriverModel, DriverProfile, make_driver_cohort
-from .lateral import LaneChangeManeuver, plan_lane_change
-from .longitudinal import (
-    acceleration,
-    aero_drag_force,
-    grade_resistance_force,
-    required_traction_force,
-)
-from .params import DEFAULT_VEHICLE, SI_CALIBRATED, TABLE_II, VehicleParams, VSPCoefficients
-from .simulator import SimulationConfig, TripSimulator, simulate_trip
-from .trip import TruthTrace
+from .. import _lazy_exports
 
-__all__ = [
-    "DriverModel",
-    "DriverProfile",
-    "make_driver_cohort",
-    "LaneChangeManeuver",
-    "plan_lane_change",
-    "acceleration",
-    "aero_drag_force",
-    "grade_resistance_force",
-    "required_traction_force",
-    "DEFAULT_VEHICLE",
-    "SI_CALIBRATED",
-    "TABLE_II",
-    "VehicleParams",
-    "VSPCoefficients",
-    "SimulationConfig",
-    "TripSimulator",
-    "simulate_trip",
-    "TruthTrace",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(
+    globals(),
+    {
+        "DriverModel": ".driver",
+        "DriverProfile": ".driver",
+        "make_driver_cohort": ".driver",
+        "LaneChangeManeuver": ".lateral",
+        "plan_lane_change": ".lateral",
+        "acceleration": ".longitudinal",
+        "aero_drag_force": ".longitudinal",
+        "grade_resistance_force": ".longitudinal",
+        "required_traction_force": ".longitudinal",
+        "DEFAULT_VEHICLE": ".params",
+        "SI_CALIBRATED": ".params",
+        "TABLE_II": ".params",
+        "VehicleParams": ".params",
+        "VSPCoefficients": ".params",
+        "SimulationConfig": ".simulator",
+        "TripSimulator": ".simulator",
+        "simulate_trip": ".simulator",
+        "TruthTrace": ".trip",
+    },
+)
