@@ -35,18 +35,24 @@ typecheck:
 metric-names:
 	PYTHONPATH=src python -m repro.lint --write-metric-names src/repro
 
-# Regenerate the streaming and offline goldens (tests/core/*_golden.json)
-# into a temporary directory and print the diff against the committed
-# files; exits 1 on a difference unless FORCE=1, which overwrites them.
+# Regenerate the goldens (the streaming and offline ones in tests/core, the
+# sweep one in tests/eval) into a temporary directory and print the diff
+# against the committed files; exits 1 on a difference unless FORCE=1, which
+# overwrites them.
+GOLDENS := tests/core/streaming tests/core/offline tests/eval/sweep
+
 golden:
 	@tmp=$$(mktemp -d); status=0; \
-	for g in streaming offline; do \
-		PYTHONPATH=src python tests/core/gen_$${g}_golden.py --out $$tmp/$${g}_golden.json \
+	for g in $(GOLDENS); do \
+		n=$$(basename $$g); \
+		PYTHONPATH=src python $$(dirname $$g)/gen_$${n}_golden.py --out $$tmp/$${n}_golden.json \
 			|| { rm -rf $$tmp; exit 1; }; \
-		diff -u tests/core/$${g}_golden.json $$tmp/$${g}_golden.json || status=1; \
+		diff -u $${g}_golden.json $$tmp/$${n}_golden.json || status=1; \
 	done; \
 	if [ $$status -eq 0 ]; then echo "goldens unchanged"; \
-	elif [ "$(FORCE)" = 1 ]; then cp $$tmp/*_golden.json tests/core/; echo "goldens overwritten"; \
+	elif [ "$(FORCE)" = 1 ]; then \
+		for g in $(GOLDENS); do cp $$tmp/$$(basename $$g)_golden.json $${g}_golden.json; done; \
+		echo "goldens overwritten"; \
 	else echo "goldens differ; rerun with FORCE=1 to overwrite them"; status=2; fi; \
 	rm -rf $$tmp; [ $$status -ne 2 ]
 
