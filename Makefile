@@ -2,7 +2,7 @@
 
 PYTEST := PYTHONPATH=src python -m pytest
 
-.PHONY: check lint lint-rules typecheck metric-names golden examples test fast test-faults test-scenarios coverage bench-smoke bench bench-batch bench-pipeline bench-faults bench-scenarios bench-gps-denied perfbench coldstart profile benchtrack benchtrack-report
+.PHONY: check lint lint-rules typecheck metric-names golden examples test fast test-faults test-scenarios coverage bench-smoke bench bench-batch bench-faults bench-scenarios bench-gps-denied perfbench coldstart profile
 
 # Fast-lane coverage floor enforced in the CI PR lane (see ci.yml):
 # ~94.5% line coverage over src/repro (94.6% with pytest-cov before the
@@ -98,10 +98,6 @@ bench-batch:
 	$(PYTEST) benchmarks/bench_extension_offline.py -k smoothed_track \
 		--benchmark-only -q -p no:cacheprovider
 
-bench-pipeline:
-	$(PYTEST) benchmarks/bench_pipeline_batch.py -q -p no:cacheprovider
-	PYTHONPATH=src python benchmarks/bench_pipeline_batch.py
-
 bench-faults:
 	$(PYTEST) benchmarks/bench_faults.py -q -p no:cacheprovider
 	PYTHONPATH=src python benchmarks/bench_faults.py --reduced \
@@ -134,9 +130,3 @@ coldstart:
 
 profile:
 	PYTHONPATH=src python -m repro.obs.profile --trips 3
-
-benchtrack:
-	PYTHONPATH=src python -m repro.obs.benchtrack check benchmarks/ --no-append
-
-benchtrack-report:
-	PYTHONPATH=src python -m repro.obs.benchtrack report benchmarks/

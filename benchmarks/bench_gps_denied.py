@@ -9,9 +9,9 @@ clean streaming baseline.
 
 Script mode (``PYTHONPATH=src python benchmarks/bench_gps_denied.py``)
 sweeps the full outage grid (10/30/120 s) and writes the matrix to
-``benchmarks/BENCH_gps_denied.json``, which :mod:`repro.obs.benchtrack`
-trends (``gps_denied.*`` metrics). ``--reduced`` drops the 120 s row for
-the nightly CI budget.
+``benchmarks/BENCH_gps_denied.json``. ``--reduced`` drops the 120 s row for
+the nightly CI budget. ``tests/eval/sweep_golden.json`` pins the smoke's
+matrix exactly.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import json
 from pathlib import Path
 
 from repro.eval.gps_denied import GPSDeniedMatrixConfig, run_gps_denied_matrix
+from repro.eval.grid import write_grid_artifact
 from repro.eval.runner import RunnerConfig
 from repro.roads import SectionSpec, build_profile
 from repro.roads.profile import RoadProfile
@@ -97,6 +98,8 @@ def test_gps_denied_matrix_smoke(bench_telemetry):
     assert result["summary"]["rmse_ratio_30s_aided"] is not None
     assert result["summary"]["rmse_ratio_30s_aided"] <= 2.0
     assert result["summary"]["n_cells_failed"] == 0
+    # The worst in-outage drift of an aided cell stays bounded.
+    assert result["summary"]["max_drift_deg"] <= 6.0
 
     json.dumps(result)  # the artifact must stay strict JSON
 
@@ -134,7 +137,7 @@ def main() -> None:
 
     outages = REDUCED_OUTAGES if args.reduced else FULL_OUTAGES
     result = run_matrix(outages=outages)
-    args.out.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
+    path = write_grid_artifact(result, args.out)
 
     if args.manifest is not None:
         from repro.obs.manifest import write_manifest
@@ -152,7 +155,7 @@ def main() -> None:
 
     summary = result["summary"]
     n_ok = sum(1 for c in result["cells"] if c["ok"])
-    print(f"wrote {args.out} ({n_ok}/{len(result['cells'])} cells ok)")
+    print(f"wrote {path} ({n_ok}/{len(result['cells'])} cells ok)")
     print(f"clean RMSE: {result['clean']['rmse_deg']} deg")
     for c in result["cells"]:
         aids = ("dr" if c["dead_reckoning"] else "--") + "+" + (

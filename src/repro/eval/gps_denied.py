@@ -19,9 +19,15 @@ streaming matrix:
 
 The *aided* cells (dead reckoning + prior map both on) carry the
 acceptance gate: their RMSE ratio must stay within
-``max_rmse_ratio`` of clean (2.0 by default — the ISSUE criterion for a
-30 s outage). ``benchmarks/bench_gps_denied.py`` writes the artifact and
-:mod:`repro.obs.benchtrack` trends the summary numbers.
+``max_rmse_ratio`` of clean (2.0 by default, for a 30 s outage).
+``benchmarks/bench_gps_denied.py`` writes the artifact and asserts the
+summary's bounds; ``tests/eval/sweep_golden.json`` pins its reduced
+matrix exactly.
+
+The matrix is not a cell of :func:`~repro.eval.grid.run_scenario_grid`:
+it replays one streaming trip over dead-reckoning × prior-map axes,
+where every grid cell is an offline multi-trip
+:func:`~repro.eval.parallel.evaluate_trips` run.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from ..errors import ConfigurationError
 from ..obs.telemetry import NULL_TELEMETRY, Telemetry
 from ..roads.prior_map import PriorGradeMap
 from ..roads.profile import RoadProfile
+from .grid import _json_float
 from .runner import RunnerConfig, make_system, simulate_recording
 
 __all__ = ["GPSDeniedMatrixConfig", "run_gps_denied_matrix"]
@@ -77,11 +84,6 @@ class GPSDeniedMatrixConfig(SerializableConfig):
             raise ConfigurationError(
                 f"measurement_std must be > 0, got {self.measurement_std}"
             )
-
-
-def _json_float(x: float) -> float | None:
-    x = float(x)
-    return round(x, 6) if np.isfinite(x) else None
 
 
 def _stream_cell(
@@ -129,7 +131,7 @@ def run_gps_denied_matrix(
     Deterministic in the base config's seed. The returned dict is strict
     JSON: a ``clean`` baseline block, one ``cells`` entry per combination
     with RMSE / ratio / drift / mode-machine evidence, and a ``summary``
-    block carrying the benchtrack metrics (``rmse_ratio_30s_aided``,
+    block carrying the headline numbers (``rmse_ratio_30s_aided``,
     ``max_drift_deg`` over aided cells, ``n_cells_failed`` against
     ``max_rmse_ratio``).
     """

@@ -63,7 +63,7 @@ def root_mean_square_error(
 ) -> float:
     """RMSE over positions, ignoring NaNs.
 
-    The resilience matrix reports RMSE rather than MAE because degraded
+    The fault sweeps report RMSE rather than MAE because degraded
     inputs produce a few large excursions over an otherwise-fine profile —
     exactly the error shape a squared metric surfaces and a mean absolute
     error buries.

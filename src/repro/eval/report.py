@@ -10,7 +10,7 @@ in ``benchmarks/``.
 
 from __future__ import annotations
 
-import sys
+import argparse
 import time
 
 import numpy as np
@@ -124,12 +124,18 @@ def build_report(seed: int = 3, n_trips: int = 2, network_km: float = 60.0) -> s
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point: write the report to a file or stdout."""
-    args = list(sys.argv[1:] if argv is None else argv)
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.eval.report", description=__doc__.splitlines()[0]
+    )
+    parser.add_argument(
+        "output", nargs="?", help="markdown file to write (default: stdout)"
+    )
+    args = parser.parse_args(argv)
     report = build_report()
-    if args:
-        with open(args[0], "w", encoding="utf-8") as fh:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(report)
-        print(f"wrote {args[0]}")
+        print(f"wrote {args.output}")
     else:
         print(report)
     return 0

@@ -5,7 +5,7 @@ package supplies the *dirty* ones — GPS dropouts, multipath speed bias,
 NaN/Inf bursts, stuck sensors, saturation clipping, timestamp jitter,
 barometer drift — as
 config-as-data scenarios applied to :class:`~repro.sensors.phone.PhoneRecording`
-objects. The resilience matrix (:mod:`repro.eval.resilience`) sweeps these
+objects. The accuracy grid (:mod:`repro.eval.grid`) sweeps these
 scenarios against the degradation machinery in the core pipeline.
 """
 

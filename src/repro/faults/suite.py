@@ -5,8 +5,8 @@ ordered tuple of :class:`FaultSpec` entries — built on the same
 :class:`~repro.config.SerializableConfig` mixin as every other config in
 the library. Scenarios therefore travel through JSON, ship to evaluation
 workers inside a :class:`~repro.eval.runner.RunnerConfig`, and round-trip
-exactly, which is what lets the resilience matrix
-(:mod:`repro.eval.resilience`) define its whole sweep as configuration.
+exactly, which is what lets the accuracy grid
+(:mod:`repro.eval.grid`) define its whole sweep as configuration.
 
 ``kind`` selects the injector; the remaining spec fields are interpreted
 per kind:

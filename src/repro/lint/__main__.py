@@ -1,7 +1,6 @@
 """``python -m repro.lint`` — run the project rule set over a tree.
 
-Exit codes follow :mod:`repro.obs.benchtrack`: 0 = clean, 1 = findings,
-2 = usage or internal error.
+Exit codes: 0 = clean, 1 = findings, 2 = usage or internal error.
 """
 
 from __future__ import annotations

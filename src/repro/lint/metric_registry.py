@@ -3,7 +3,7 @@
 The registry is the single source of truth for the telemetry vocabulary:
 every counter/gauge/histogram name literal emitted anywhere in the library
 tree, collected statically and written out as a frozen set. Exporters,
-dashboards and benchtrack rules can import it; rule RL004 fails the build
+dashboards and tests can import it; rule RL004 fails the build
 when an emission site and the registry drift apart.
 
 Regenerate with::

@@ -505,7 +505,7 @@ def _registry_names(ctxs: list[FileContext]) -> tuple[set[str] | None, FileConte
 class MetricNamesRule(ProjectRule):
     """Telemetry names form a closed, grammar-checked vocabulary.
 
-    Exporters, dashboards and benchtrack rules key on metric names; a typo
+    Exporters, dashboards and run manifests key on metric names; a typo
     in one emission site would silently fork a time series. Every literal
     must parse under the ``metric_key`` grammar and appear in the generated
     ``repro.obs.metric_names`` registry (regenerate with

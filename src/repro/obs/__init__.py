@@ -15,9 +15,7 @@ The subsystem is deliberately dependency-free (stdlib + numpy +
   with per-trip throughput;
 * :mod:`~repro.obs.export` — dump a run's spans + metrics to
   dict/JSON/JSONL/Prometheus text;
-* :mod:`~repro.obs.manifest` / :mod:`~repro.obs.benchtrack` — run
-  provenance manifests, and benchmark history with regression gating
-  (``python -m repro.obs.benchtrack``).
+* :mod:`~repro.obs.manifest` — run provenance manifests.
 
 :class:`Telemetry` bundles the tracing/metrics/logging primitives and is
 what the pipeline threads through its stages; :class:`NullTelemetry`

@@ -11,8 +11,8 @@ bundles that provenance into one JSON document:
 * the run's metrics snapshot, health summary, and profile, when collected.
 
 ``evaluate_trips(..., manifest_path=...)`` writes one per evaluation run;
-the nightly CI bench jobs upload them as artifacts so every
-``BENCH_history.jsonl`` entry has a manifest to answer "what exactly was
+the nightly CI sweep jobs upload them beside their ``BENCH_*.json``
+artifacts, so every sweep has a manifest to answer "what exactly was
 this number?".
 """
 

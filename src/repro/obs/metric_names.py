@@ -57,8 +57,6 @@ METRIC_NAMES = frozenset(
         "pipeline.gap_masked",
         "pipeline.gps_fixes_masked",
         "pipeline.track_rejected",
-        "resilience.matrices",
-        "resilience.scenario_failed",
         "samples_dropped",
         "stream.clamped_ticks",
         "stream.map_updates",

@@ -3,11 +3,12 @@
 Every sweep cell is a pure function of its configuration and seed, so the
 sweeps are pinned exactly, not within a tolerance. Three cases:
 
-* ``fault_preset``: the fault matrix on the red route — one seed-3 trip,
-  every fault kind at severities 0.5 and 2.0, serial backend. Stored as
-  the clean baseline's ``rmse_deg`` and ``health``, plus ``ok``,
-  ``rmse_deg``, ``rmse_ratio``, ``n_failed`` and ``health`` per
-  ``(kind, severity)`` cell.
+* ``fault_preset``: the fault matrix, the grid's default-scenario ×
+  legacy-driver preset, on the red route — one seed-3 trip, every fault
+  kind at severities 0.5 and 2.0, serial backend. Stored as the clean
+  baseline's ``rmse_deg`` and ``health``, plus ``ok``, ``rmse_deg``,
+  ``rmse_ratio``, ``n_failed`` and ``health`` per ``(kind, severity)``
+  cell.
 * ``small_grid``: the scenario grid on the red route — three scenarios ×
   the ``safe`` and ``aggressive`` drivers × three fault kinds at severity
   0.5, one seed-3 trip, serial backend. Stored as returned.
@@ -36,8 +37,8 @@ from pathlib import Path
 from repro.datasets.charlottesville import red_route
 from repro.eval.grid import ScenarioGridConfig, run_scenario_grid
 from repro.eval.parallel import ParallelConfig
-from repro.eval.resilience import ResilienceConfig, run_resilience_matrix
 from repro.eval.runner import RunnerConfig
+from repro.faults.suite import FAULT_KINDS
 
 GOLDEN_PATH = Path(__file__).with_name("sweep_golden.json")
 
@@ -45,29 +46,30 @@ BENCH_GPS_DENIED = (
     Path(__file__).resolve().parents[2] / "benchmarks" / "bench_gps_denied.py"
 )
 
-CASE_NAMES = ("fault_preset", "small_grid", "gps_denied")
-
 BASE = RunnerConfig(n_trips=1, seed=3)
 SERIAL = ParallelConfig(backend="serial")
 
-#: The per-cell fields both fault-matrix output shapes carry.
+#: The per-cell fields of the fault preset's golden.
 CELL_FIELDS = ("kind", "severity", "ok", "rmse_deg", "rmse_ratio", "n_failed", "health")
 
 
 def fault_preset(parallel: ParallelConfig = SERIAL) -> dict:
     """Every fault kind × severities (0.5, 2.0) on one red-route trip."""
-    result = run_resilience_matrix(
+    result = run_scenario_grid(
         red_route(),
         base_cfg=BASE,
-        config=ResilienceConfig(severities=(0.5, 2.0)),
+        config=ScenarioGridConfig(
+            scenarios=("default",),
+            drivers=("legacy",),
+            fault_kinds=tuple(sorted(FAULT_KINDS)),
+            severities=(0.5, 2.0),
+        ),
         parallel=parallel,
     )
+    (clean,) = result["baselines"]
     return {
-        "clean": {
-            "rmse_deg": result["clean_rmse_deg"],
-            "health": result["clean_health"],
-        },
-        "cells": [{k: s[k] for k in CELL_FIELDS} for s in result["scenarios"]],
+        "clean": {"rmse_deg": clean["rmse_deg"], "health": clean["health"]},
+        "cells": [{k: c[k] for k in CELL_FIELDS} for c in result["cells"]],
     }
 
 
@@ -75,9 +77,7 @@ def small_grid() -> dict:
     return run_scenario_grid(
         red_route(),
         base_cfg=BASE,
-        config=ScenarioGridConfig(
-            drivers=("safe", "aggressive"), severities=(0.5,)
-        ),
+        config=ScenarioGridConfig(drivers=("safe", "aggressive"), severities=(0.5,)),
         parallel=SERIAL,
     )
 
@@ -89,12 +89,13 @@ def gps_denied() -> dict:
     return bench.run_matrix(outages=bench.REDUCED_OUTAGES)
 
 
+CASES = {"fault_preset": fault_preset, "small_grid": small_grid, "gps_denied": gps_denied}
+CASE_NAMES = tuple(CASES)
+
+
 def run_case(name: str) -> dict:
     """The named case as its JSON form (tuples become lists)."""
-    result = {"fault_preset": fault_preset, "small_grid": small_grid, "gps_denied": gps_denied}[
-        name
-    ]()
-    return json.loads(json.dumps(result))
+    return json.loads(json.dumps(CASES[name]()))
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -51,3 +51,14 @@ class TestReport:
         out = tmp_path / "report.md"
         assert main([str(out)]) == 0
         assert out.read_text().startswith("# Reproduction report")
+
+    def test_help_prints_usage_and_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        import repro.eval.report as mod
+
+        monkeypatch.setattr(mod, "build_report", lambda: "# Reproduction report\n")
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []

@@ -15,7 +15,7 @@ import pytest
 from repro.core.lane_change.detector import LaneChangeDetectorConfig
 from repro.core.pipeline import GradientEstimationSystem, GradientSystemConfig
 from repro.core.stages import ROBUST_STAGES
-from repro.eval.resilience import fault_suite_for
+from repro.eval.grid import fault_suite_for
 from repro.faults.suite import FAULT_KINDS, apply_fault_suite
 from repro.obs.health import HealthConfig
 
@@ -67,7 +67,7 @@ class TestDetection:
     def test_each_fault_kind_flags_at_high_severity(
         self, red_profile, red_thresholds, faulted_recordings, kind
     ):
-        # The resilience matrix runs with the sanitize stage; the monitors
+        # The fault sweeps run with the sanitize stage; the monitors
         # must still see the fault (the input screen reads the raw
         # recording before sanitization).
         system = GradientEstimationSystem(

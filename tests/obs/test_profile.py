@@ -210,7 +210,7 @@ class TestModuleEntryPoint:
         # parses its arguments.
         src = Path(__file__).resolve().parents[2] / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
-        for module in ("repro.obs.profile", "repro.lint", "repro.obs.benchtrack"):
+        for module in ("repro.obs.profile", "repro.lint", "repro.eval.report"):
             proc = subprocess.run(
                 [sys.executable, "-W", "error::RuntimeWarning", "-m", module, "--help"],
                 capture_output=True,

@@ -1,12 +1,11 @@
-"""Accuracy-grid behaviour: resilience equivalence and golden cells.
+"""Accuracy-grid behaviour: severity mapping, determinism, golden cells.
 
-Two anchors keep the grid honest: its default × legacy column must
-reproduce the resilience matrix exactly (the grid is a superset, not a
-parallel implementation), and every driver style's clean cell must stay
-within the golden RMSE bound on both EKF engines.
+The grid's fault cells, and its default × legacy fault preset, are pinned
+exactly by ``tests/eval/sweep_golden.json``. Here: the severity mapping
+builds a valid fault suite for every kind, the grid is deterministic in
+its seed, and every driver style's clean cell stays within the golden
+RMSE bound on both EKF engines.
 """
-
-import json
 
 import numpy as np
 import pytest
@@ -14,62 +13,46 @@ import pytest
 from repro.core.lane_change.detector import LaneChangeDetectorConfig
 from repro.core.pipeline import GradientEstimationSystem, GradientSystemConfig
 from repro.datasets.steering_study import calibrated_thresholds
-from repro.eval.grid import ScenarioGridConfig, run_scenario_grid
+from repro.eval.grid import ScenarioGridConfig, fault_suite_for, run_scenario_grid
 from repro.eval.metrics import root_mean_square_error
 from repro.eval.parallel import ParallelConfig
-from repro.eval.resilience import ResilienceConfig, run_resilience_matrix
 from repro.eval.runner import RunnerConfig, simulate_recording
+from repro.faults.suite import FAULT_KINDS
 from repro.scenarios import ScenarioConfig
 
-KINDS = ("gps_dropout", "nan_burst")
+#: The full fault-matrix severity sweep of ``benchmarks/bench_faults.py``.
+SEVERITIES = (0.5, 1.0, 2.0, 4.0)
 
 #: Single-trip clean-accuracy ceiling per driver style on the red route.
 GOLDEN_RMSE_DEG = 1.5
 
 
-class TestGridReproducesResilience:
-    def test_default_legacy_column_matches_the_matrix(self, red_profile):
-        """Grid cells on the default scenario == resilience matrix cells.
+class TestSeverityMapping:
+    def test_window_kinds_map_severity_to_duration(self):
+        suite = fault_suite_for("gps_dropout", 3.0, start_s=40.0)
+        (spec,) = suite.faults
+        assert spec.duration_s == 3.0
+        assert spec.start_s == 40.0
 
-        Same base config, same fault suites, same pipeline — the grid's
-        scenario machinery must add exactly nothing on the no-op path.
-        """
-        base = RunnerConfig(n_trips=1, seed=3)
-        serial = ParallelConfig(backend="serial")
+    def test_clip_severity_inverts_into_limit(self):
+        mild = fault_suite_for("clip", 0.5).faults[0]
+        harsh = fault_suite_for("clip", 4.0).faults[0]
+        assert mild.severity > harsh.severity  # larger severity -> tighter clip
 
-        matrix = run_resilience_matrix(
-            red_profile,
-            base_cfg=base,
-            config=ResilienceConfig(fault_kinds=KINDS, severities=(1.0,)),
-            parallel=serial,
-        )
-        grid = run_scenario_grid(
-            red_profile,
-            base_cfg=base,
-            config=ScenarioGridConfig(
-                scenarios=("default",),
-                drivers=("legacy",),
-                fault_kinds=KINDS,
-                severities=(1.0,),
-            ),
-            parallel=serial,
-        )
+    def test_jitter_severity_stays_valid(self):
+        # The raw severity axis goes beyond the jitter injector's (0, 1)
+        # domain; the mapping must compress it, and the spec must build.
+        spec = fault_suite_for("jitter", 4.0).faults[0]
+        assert 0.0 < spec.severity < 1.0
+        spec.build()
 
-        (baseline,) = grid["baselines"]
-        assert baseline["ok"]
-        assert baseline["rmse_deg"] == matrix["clean_rmse_deg"]
-        assert baseline["health"] == matrix["clean_health"]
+    def test_every_kind_builds_at_every_sweep_severity(self):
+        for kind in FAULT_KINDS:
+            for severity in SEVERITIES:
+                fault_suite_for(kind, severity).build()
 
-        by_cell = {(s["kind"], s["severity"]): s for s in matrix["scenarios"]}
-        assert len(grid["cells"]) == len(by_cell)
-        for cell in grid["cells"]:
-            want = by_cell[(cell["kind"], cell["severity"])]
-            assert cell["ok"] == want["ok"]
-            assert cell["rmse_deg"] == want["rmse_deg"]
-            assert cell["rmse_ratio"] == want["rmse_ratio"]
 
-        json.dumps(grid)  # the artifact must stay strict JSON
-
+class TestGridDeterminism:
     def test_grid_is_deterministic_in_seed(self, red_profile):
         cfg = ScenarioGridConfig(
             scenarios=("default",),

@@ -55,12 +55,10 @@ UNUSED = (
     "repro.emissions",
     "repro.lint",
     "repro.eval.grid",
-    "repro.eval.resilience",
     "repro.eval.gps_denied",
     "repro.eval.parallel",
     "repro.obs.export",
     "repro.obs.profile",
-    "repro.obs.benchtrack",
     "repro.core.online",
     "concurrent.futures.process",
 )
