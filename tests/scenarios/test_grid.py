@@ -1,11 +1,13 @@
-"""Accuracy-grid behaviour: severity mapping, determinism, golden cells.
+"""Accuracy-grid behaviour: resilience equivalence, determinism, golden cells.
 
 The grid's fault cells, and its default × legacy fault preset, are pinned
-exactly by ``tests/eval/sweep_golden.json``. Here: the severity mapping
-builds a valid fault suite for every kind, the grid is deterministic in
-its seed, and every driver style's clean cell stays within the golden
-RMSE bound on both EKF engines.
+exactly by ``tests/eval/sweep_golden.json``. Here: the default × legacy
+column of a wider grid reproduces the fault matrix exactly (extra axes add
+nothing to it), the grid is deterministic in its seed, and every driver
+style's clean cell stays within the golden RMSE bound on both EKF engines.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -13,46 +15,60 @@ import pytest
 from repro.core.lane_change.detector import LaneChangeDetectorConfig
 from repro.core.pipeline import GradientEstimationSystem, GradientSystemConfig
 from repro.datasets.steering_study import calibrated_thresholds
-from repro.eval.grid import ScenarioGridConfig, fault_suite_for, run_scenario_grid
+from repro.eval.grid import ScenarioGridConfig, run_scenario_grid
 from repro.eval.metrics import root_mean_square_error
 from repro.eval.parallel import ParallelConfig
 from repro.eval.runner import RunnerConfig, simulate_recording
-from repro.faults.suite import FAULT_KINDS
 from repro.scenarios import ScenarioConfig
 
-#: The full fault-matrix severity sweep of ``benchmarks/bench_faults.py``.
-SEVERITIES = (0.5, 1.0, 2.0, 4.0)
+from ..eval.gen_sweep_golden import CELL_FIELDS, GOLDEN_PATH
+
+KINDS = ("gps_dropout", "nan_burst")
 
 #: Single-trip clean-accuracy ceiling per driver style on the red route.
 GOLDEN_RMSE_DEG = 1.5
 
 
-class TestSeverityMapping:
-    def test_window_kinds_map_severity_to_duration(self):
-        suite = fault_suite_for("gps_dropout", 3.0, start_s=40.0)
-        (spec,) = suite.faults
-        assert spec.duration_s == 3.0
-        assert spec.start_s == 40.0
+class TestGridReproducesResilience:
+    def test_default_legacy_column_matches_the_matrix(self, red_profile):
+        """The default × legacy column of a wider grid == the fault matrix.
 
-    def test_clip_severity_inverts_into_limit(self):
-        mild = fault_suite_for("clip", 0.5).faults[0]
-        harsh = fault_suite_for("clip", 4.0).faults[0]
-        assert mild.severity > harsh.severity  # larger severity -> tighter clip
+        The other driver's cells run first, so the column must come out
+        exactly as the golden fault preset, which is the matrix as it was
+        before it became the grid's preset.
+        """
+        golden = json.loads(GOLDEN_PATH.read_text())["fault_preset"]
+        grid = run_scenario_grid(
+            red_profile,
+            base_cfg=RunnerConfig(n_trips=1, seed=3),
+            config=ScenarioGridConfig(
+                scenarios=("default",),
+                drivers=("safe", "legacy"),
+                fault_kinds=KINDS,
+                severities=(0.5,),
+            ),
+            parallel=ParallelConfig(backend="serial"),
+        )
 
-    def test_jitter_severity_stays_valid(self):
-        # The raw severity axis goes beyond the jitter injector's (0, 1)
-        # domain; the mapping must compress it, and the spec must build.
-        spec = fault_suite_for("jitter", 4.0).faults[0]
-        assert 0.0 < spec.severity < 1.0
-        spec.build()
+        (baseline,) = [b for b in grid["baselines"] if b["driver"] == "legacy"]
+        assert baseline["ok"]
+        assert baseline["rmse_deg"] == golden["clean"]["rmse_deg"]
+        assert baseline["health"] == golden["clean"]["health"]
 
-    def test_every_kind_builds_at_every_sweep_severity(self):
-        for kind in FAULT_KINDS:
-            for severity in SEVERITIES:
-                fault_suite_for(kind, severity).build()
+        by_cell = {
+            (c["kind"], c["severity"]): c
+            for c in golden["cells"]
+            if c["kind"] in KINDS and c["severity"] == 0.5
+        }
+        column = [c for c in grid["cells"] if c["driver"] == "legacy"]
+        assert len(column) == len(by_cell) == len(KINDS)
+        for cell in column:
+            assert {k: cell[k] for k in CELL_FIELDS} == by_cell[
+                (cell["kind"], cell["severity"])
+            ]
 
+        json.dumps(grid)  # the artifact must stay strict JSON
 
-class TestGridDeterminism:
     def test_grid_is_deterministic_in_seed(self, red_profile):
         cfg = ScenarioGridConfig(
             scenarios=("default",),
