@@ -36,6 +36,20 @@ sink sees a track of the call, so a caller may retry the other tracks
 without double counts. ``config.smooth=True`` and an enabled GPS-denied
 config always take the scalar engine — the RTS backward pass and the
 outage plan are not vectorized.
+
+The vector loop's working set does not grow with trip length. It runs
+over blocks of :data:`BLOCK_TICKS` ticks: each block stacks its slice of
+the inputs into ``(tick, track)`` buffers, runs the ticks, and drains
+theta, variance and v straight into the arrays each track's
+:class:`~repro.core.track.GradientTrack` holds, and the innovations back
+into the track's measurement array; the state carries from block to
+block. A call's transient is the blocks, one measurement array per track
+and, for a monitored track, S at its update ticks. On the captured
+32-track ``fleet_store`` call (8,829-10,456 ticks a track, telemetry and
+a monitor on each) tracemalloc reads 4.5 MB above the 7.3 MB the tracks
+retain, against 15.1 MB when the whole call was stacked at once; for the
+whole ``estimate_batch`` call, 6.7 MB above what it retains, against
+17.4 MB.
 """
 
 from __future__ import annotations
@@ -75,6 +89,18 @@ __all__ = ["BATCH_MIN_TRACKS", "estimate_tracks_batch", "runs_vectorized"]
 #: low end at 32 and 64, where its ragged tails run scalar. One trip's
 #: four sources stay scalar; a chunk of six or more trips runs vectorized.
 BATCH_MIN_TRACKS = 24
+
+#: Ticks per block of the vectorized loop: its inputs are stacked and its
+#: outputs drained one block at a time, so a call's working set is
+#: O(BLOCK_TICKS x tracks) plus one measurement array per track, whatever
+#: the trips' length. Measured on the captured 32-track ``fleet_store``
+#: call (2-CPU x86_64 host): the call's transient is 4.5 MB up to 256
+#: ticks, where the blocks still fit under the sinks' own peak, and 4.9,
+#: 6.0 and 8.3 MB at 512, 1024 and 2048; the loop's speed moves less
+#: than between runs (two sweeps from 128 to 2048 ticks: 654-672 and
+#: 638-693 ns per track-tick, 256 reading 660 and 673). DESIGN.md,
+#: "Per-tick dispatch budget", has the working set.
+BLOCK_TICKS = 256
 
 
 def runs_vectorized(n_tracks: int, config: GradientEKFConfig, gps_denied=None) -> bool:
@@ -224,14 +250,15 @@ def _estimate_tracks_vectorized(
         h = int(np.sort(lengths)[n_tracks - BATCH_MIN_TRACKS])
     else:
         h = int(lengths.max())
-    a_in = np.zeros((h, n_tracks))
-    z_in = np.full((h, n_tracks), np.nan)
+    # zs[k] holds track k's measurement at its update ticks and NaN
+    # elsewhere. Once a block has run, its update ticks hold the track's
+    # innovations instead, which is all a sink needs of them: for a track
+    # whose theta and v stay finite in the vector loop they are finite
+    # wherever the measurement was. A scalar tail keeps its own.
     zs: list[np.ndarray] = []
     for k in range(n_tracks):
         z_k = measurements_on_timebase(ts[k], velocities[k])
         zs.append(z_k)
-        a_in[:lengths[k], k] = accels[k].values[:h]
-        z_in[:lengths[k], k] = z_k[:h]
         # measurements_on_timebase raised if no measurement is valid.
         v0[k] = float(z_k[np.argmax(np.isfinite(z_k))])
 
@@ -261,15 +288,19 @@ def _estimate_tracks_vectorized(
     x_hi = rows(theta_clamp, math.inf)
     q = rows(q_v, q_t)
 
-    # Outputs of the h vector ticks, time-major; each tick's [theta, v] is
-    # one contiguous (2, N) row so the state prediction and its clamps are
-    # one call each.
-    xs_out = np.empty((h, 2, n_tracks))
-    theta_out = xs_out[:, 0]
-    v_out = xs_out[:, 1]
-    var_out = np.empty((h, n_tracks))
-    inno_out = np.empty((h, n_tracks)) if any_tel or any_mon else None
-    s_out = np.empty((h, n_tracks)) if any_mon else None
+    # Each track's outputs, allocated once at their final length: the
+    # vector ticks drain into their head block by block and a scalar tail
+    # fills the rest, so the track holds these arrays, not copies. A
+    # monitor also gets S at the track's update ticks.
+    theta_outs = [np.empty(n_k) for n_k in lengths]
+    var_outs = [np.empty(n_k) for n_k in lengths]
+    v_outs = [np.empty(n_k) for n_k in lengths]
+    sinked = [tels[k] is not None or mons[k] is not None for k in range(n_tracks)]
+    s_outs = [
+        np.empty(np.count_nonzero(np.isfinite(zs[k]))) if mons[k] is not None else None
+        for k in range(n_tracks)
+    ]
+    n_drained = [0] * n_tracks  # S values drained per track so far
     # A track that ends before tick h is padded (zero accel, no
     # measurements) until h, so its final covariance is captured at its
     # own last tick; the padding never reaches the output.
@@ -279,15 +310,26 @@ def _estimate_tracks_vectorized(
         for k in range(n_tracks):
             ends.setdefault(int(lengths[k]) - 1, []).append(k)
 
-    # Measurement gating, hoisted out of the loop: which tracks update at
-    # which tick, a fast per-tick any flag, and the measurement variance
-    # per (tick, track) with +inf where a track holds. A held track's
-    # innovation variance is then inf, so its gains are 0 and its update
-    # adds exact zeros; holes in z become 0 so its innovation stays finite.
-    update_mask = np.isfinite(z_in)
-    z_in[~update_mask] = 0.0
-    r_in = np.where(update_mask, r, math.inf)
-    row_any = update_mask.any(axis=1).tolist()
+    # Block buffers, (tick, track) over BLOCK_TICKS ticks: the inputs, the
+    # measurement gating and the vector ticks' outputs. Each tick's
+    # [theta, v] is one contiguous (2, N) row so the state prediction and
+    # its clamps are one call each. Gating: a held track's measurement
+    # variance is +inf, so its innovation variance is inf, its gains are 0
+    # and its update adds exact zeros; its hole in z becomes 0 so its
+    # innovation stays finite.
+    block = min(BLOCK_TICKS, h)
+    a_blk = np.empty((block, n_tracks))
+    z_blk = np.empty((block, n_tracks))
+    r_blk = np.empty((block, n_tracks))
+    upd_blk = np.empty((block, n_tracks), dtype=bool)
+    hold_blk = np.empty((block, n_tracks), dtype=bool)
+    xs_blk = np.empty((block, 2, n_tracks))
+    theta_blk = xs_blk[:, 0]
+    v_blk = xs_blk[:, 1]
+    var_blk = np.empty((block, n_tracks))
+    inno_blk = np.empty((block, n_tracks)) if any_tel or any_mon else None
+    s_blk = np.empty((block, n_tracks)) if any_mon else None
+    finite = np.ones(n_tracks, dtype=bool)
 
     # Work rows. Stacks: sc = [cos, sin], bg = [b, sin g], dx = [drift,
     # a_long dt] (the state increment), ap/bp/cp = the three terms of the
@@ -312,6 +354,9 @@ def _estimate_tracks_vectorized(
     p12, p12_pred, k1, k2, one_m = np.empty((5, n_tracks))
     s_scratch, inno_scratch = np.empty((2, n_tracks))
 
+    # The state carries across blocks in these rows: x, theta, v and p22
+    # point at the last tick's output rows, which the next block overwrites
+    # only after its first tick has read them.
     x = np.stack([np.zeros(n_tracks), v0])  # [theta, v] before the first tick
     theta, v = x
     p11[:] = cfg.initial_speed_std**2
@@ -320,102 +365,141 @@ def _estimate_tracks_vectorized(
 
     mul, add, sub, div = np.multiply, np.add, np.subtract, np.divide
     maximum, minimum, sin, cos = np.maximum, np.minimum, np.sin, np.cos
-    s_rows = iter(s_out) if s_out is not None else itertools.repeat(s_scratch)
-    inno_rows = iter(inno_out) if inno_out is not None else itertools.repeat(inno_scratch)
-    ticks = zip(
-        a_in, z_in, r_in, xs_out, theta_out, v_out, var_out, s_rows, inno_rows,
-        row_any,
+    for b0 in range(0, h, block):
+        n_rows = min(block, h - b0)
+        # Real ticks of each track in this block; the rest is padding.
+        live = np.clip(lengths - b0, 0, n_rows).tolist()
+        a_in, z_in, r_in = a_blk[:n_rows], z_blk[:n_rows], r_blk[:n_rows]
+        update_mask, hold = upd_blk[:n_rows], hold_blk[:n_rows]
+        for k, m in enumerate(live):
+            a_in[:m, k] = accels[k].values[b0 : b0 + m]
+            z_in[:m, k] = zs[k][b0 : b0 + m]
+            if m < n_rows:
+                a_in[m:, k] = 0.0
+                z_in[m:, k] = math.nan
+        np.isfinite(z_in, out=update_mask)
+        np.logical_not(update_mask, out=hold)
+        np.copyto(z_in, 0.0, where=hold)
+        np.copyto(r_in, r)
+        np.copyto(r_in, math.inf, where=hold)
+        s_rows = iter(s_blk) if s_blk is not None else itertools.repeat(s_scratch)
+        inno_rows = iter(inno_blk) if inno_blk is not None else itertools.repeat(inno_scratch)
+        ticks = zip(
+            a_in, z_in, r_in, xs_blk, theta_blk, v_blk, var_blk, s_rows, inno_rows,
+            update_mask.any(axis=1).tolist(),
+        )
+        # Every product is associated exactly as GradientFilterCore.predict
+        # and .update associate it; multiplication and addition are
+        # commutative in IEEE arithmetic, so only the grouping has to match.
+        for i, (a_meas, z, r_row, x_row, theta_row, v_row, p22_row, s_row, inno,
+                upd_any) in enumerate(ticks, b0):
+            sin(theta, sin_t)
+            cos(theta, cos_t)
+            maximum(cos_t, floor, out=cos_t)
+            if specific_force:
+                mul(sc, kg, bg)  # b = -g dt cos, sin g
+                sub(a_meas, sin_g, a_long)  # a_long = a - g sin
+                mul(a_long, sin_t, slope)
+                mul(cos_t, cos_t, cc)
+                div(slope, cc, slope)
+                sub(slope, g_row, slope)  # a_long sin / cos^2 - g
+            else:
+                a_long = a_meas  # b stays 0
+                mul(a_long, sin_t, slope)
+                mul(cos_t, cos_t, cc)
+                div(slope, cc, slope)  # a_long sin / cos^2
+            mul(cdt, v, cv)  # cdt v, shared by d and the drift term
+            mul(cv, slope, d)
+            add(d, one, d)  # d = 1 + ddrift/dtheta dt
+            mul(cdt, a_long, c)
+            div(c, cos_t, c)  # c = cdt a_long / cos
+            mul(cv, a_long, drift)
+            div(drift, cos_t, drift)  # drift dt = cdt v a_long / cos
+            mul(a_long, dt, a_dt)
+
+            # State prediction and clamps, straight into this tick's row.
+            add(x, dx, x_row)
+            maximum(x_row, x_lo, out=x_row)
+            minimum(x_row, x_hi, out=x_row)
+            x, theta, v = x_row, theta_row, v_row
+
+            # Covariance prediction P = F P F^T + Q with F = [[1, b], [c, d]]:
+            # p11' = p11 + b p12 + (p12 + b p22) b + q_v and p22' = c (c p11)
+            # + c d p12 2 + d d p22 + q_t summed as one stack; p12' apart.
+            mul(c, p11, c_p11)
+            mul(c, c_p11, c2_p11)
+            mul(b, p12, b_p12)
+            mul(c, d, t1)
+            mul(t1, p12, t1)
+            mul(t1, two, cd2_p12)
+            mul(b, p22, t2)
+            add(p12, t2, t2)
+            mul(t2, b, bp22_b)
+            mul(d, d, t2)
+            mul(t2, p22, dd_p22)
+            add(ap, bp, pp)
+            add(pp, cp, pp)
+            add(pp, q, pp)
+            mul(b, c, t1)
+            add(t1, d, t1)
+            mul(t1, p12, t1)  # (b c + d) p12
+            mul(b, d, t2)
+            mul(t2, p22, t2)  # b d p22
+            add(c_p11, t1, p12_pred)
+            add(p12_pred, t2, p12_pred)
+
+            # Measurement update with H = [1, 0]; a held track's r is inf,
+            # so one pass serves every tick shape.
+            if upd_any:
+                add(p11_pred, r_row, s_row)
+                div(p11_pred, s_row, k1)
+                div(p12_pred, s_row, k2)
+                sub(z, v, inno)
+                sub(one, k1, one_m)
+                mul(k2, inno, dtheta)
+                mul(k1, inno, dv)
+                add(x, dk, x)
+                mul(k2, p12_pred, t1)
+                sub(p22_pred, t1, p22_row)
+                mul(one_m, p12_pred, p12)
+                mul(one_m, p11_pred, p11)
+            else:
+                p22_row[...] = p22_pred
+                p11[...] = p11_pred
+                p12, p12_pred = p12_pred, p12
+            p22 = p22_row
+            done = ends.get(i)
+            if done is not None:
+                final_p[0, done] = p11[done]
+                final_p[1, done] = p12[done]
+                final_p[2, done] = p22[done]
+
+        # Drain the block: the finite flag covers the padding too, and each
+        # track's real ticks go to its own arrays.
+        finite &= np.isfinite(xs_blk[:n_rows]).all(axis=(0, 1))
+        for k, m in enumerate(live):
+            if m == 0:
+                continue
+            theta_outs[k][b0 : b0 + m] = theta_blk[:m, k]
+            var_outs[k][b0 : b0 + m] = var_blk[:m, k]
+            v_outs[k][b0 : b0 + m] = v_blk[:m, k]
+            if sinked[k]:
+                np.copyto(zs[k][b0 : b0 + m], inno_blk[:m, k], where=update_mask[:m, k])
+            if s_outs[k] is not None:
+                s_k = s_blk[:m, k][update_mask[:m, k]]
+                j0 = n_drained[k]
+                n_drained[k] = j0 + len(s_k)
+                s_outs[k][j0 : n_drained[k]] = s_k
+
+    # The block buffers are dead past the loop: keep the last tick's state
+    # and free them, with every view of them, before the tails and the
+    # sinks allocate.
+    theta, v, p22 = theta.copy(), v.copy(), p22.copy()
+    del (
+        a_blk, z_blk, r_blk, upd_blk, hold_blk, xs_blk, theta_blk, v_blk, var_blk,
+        inno_blk, s_blk, a_in, z_in, r_in, update_mask, hold, s_rows, inno_rows, ticks,
+        a_meas, z, r_row, x_row, theta_row, v_row, p22_row, s_row, inno, x, a_long,
     )
-    # Every product is associated exactly as GradientFilterCore.predict and
-    # .update associate it; multiplication and addition are commutative in
-    # IEEE arithmetic, so only the grouping has to match.
-    for i, (a_meas, z, r_row, x_row, theta_row, v_row, p22_row, s_row, inno,
-            upd_any) in enumerate(ticks):
-        sin(theta, sin_t)
-        cos(theta, cos_t)
-        maximum(cos_t, floor, out=cos_t)
-        if specific_force:
-            mul(sc, kg, bg)  # b = -g dt cos, sin g
-            sub(a_meas, sin_g, a_long)  # a_long = a - g sin
-            mul(a_long, sin_t, slope)
-            mul(cos_t, cos_t, cc)
-            div(slope, cc, slope)
-            sub(slope, g_row, slope)  # a_long sin / cos^2 - g
-        else:
-            a_long = a_meas  # b stays 0
-            mul(a_long, sin_t, slope)
-            mul(cos_t, cos_t, cc)
-            div(slope, cc, slope)  # a_long sin / cos^2
-        mul(cdt, v, cv)  # cdt v, shared by d and the drift term
-        mul(cv, slope, d)
-        add(d, one, d)  # d = 1 + ddrift/dtheta dt
-        mul(cdt, a_long, c)
-        div(c, cos_t, c)  # c = cdt a_long / cos
-        mul(cv, a_long, drift)
-        div(drift, cos_t, drift)  # drift dt = cdt v a_long / cos
-        mul(a_long, dt, a_dt)
-
-        # State prediction and clamps, straight into this tick's output row.
-        add(x, dx, x_row)
-        maximum(x_row, x_lo, out=x_row)
-        minimum(x_row, x_hi, out=x_row)
-        x, theta, v = x_row, theta_row, v_row
-
-        # Covariance prediction P = F P F^T + Q with F = [[1, b], [c, d]]:
-        # p11' = p11 + b p12 + (p12 + b p22) b + q_v and p22' = c (c p11)
-        # + c d p12 2 + d d p22 + q_t summed as one stack; p12' apart.
-        mul(c, p11, c_p11)
-        mul(c, c_p11, c2_p11)
-        mul(b, p12, b_p12)
-        mul(c, d, t1)
-        mul(t1, p12, t1)
-        mul(t1, two, cd2_p12)
-        mul(b, p22, t2)
-        add(p12, t2, t2)
-        mul(t2, b, bp22_b)
-        mul(d, d, t2)
-        mul(t2, p22, dd_p22)
-        add(ap, bp, pp)
-        add(pp, cp, pp)
-        add(pp, q, pp)
-        mul(b, c, t1)
-        add(t1, d, t1)
-        mul(t1, p12, t1)  # (b c + d) p12
-        mul(b, d, t2)
-        mul(t2, p22, t2)  # b d p22
-        add(c_p11, t1, p12_pred)
-        add(p12_pred, t2, p12_pred)
-
-        # Measurement update with H = [1, 0]; a held track's r is inf, so
-        # one pass serves every tick shape.
-        if upd_any:
-            add(p11_pred, r_row, s_row)
-            div(p11_pred, s_row, k1)
-            div(p12_pred, s_row, k2)
-            sub(z, v, inno)
-            sub(one, k1, one_m)
-            mul(k2, inno, dtheta)
-            mul(k1, inno, dv)
-            add(x, dk, x)
-            mul(k2, p12_pred, t1)
-            sub(p22_pred, t1, p22_row)
-            mul(one_m, p12_pred, p12)
-            mul(one_m, p11_pred, p11)
-        else:
-            p22_row[...] = p22_pred
-            p11[...] = p11_pred
-            p12, p12_pred = p12_pred, p12
-        p22 = p22_row
-        done = ends.get(i)
-        if done is not None:
-            final_p[0, done] = p11[done]
-            final_p[1, done] = p12[done]
-            final_p[2, done] = p22[done]
-
-    # The padded inputs are dead past the loop; free them before the reruns,
-    # tails and unpack allocate. The zip and the last tick's rows (a_long is
-    # a row of a_in under the kinematic model) hold them too.
-    del ticks, a_meas, z, r_row, a_long, a_in, z_in, r_in, update_mask
 
     # -- tails and reruns, before any sink sees a track ---------------------
     # A held track's update adds exact zeros only while its predicted state
@@ -429,7 +513,7 @@ def _estimate_tracks_vectorized(
     # raises here before any sink has seen a track of this call, and the
     # caller can retry the other tracks in narrower calls without double
     # counts.
-    finite = np.isfinite(xs_out).all(axis=(0, 1)).tolist()
+    finite = finite.tolist()
     reruns = {
         k: estimate_track(
             accels[k],
@@ -442,16 +526,24 @@ def _estimate_tracks_vectorized(
         for k in range(n_tracks)
         if not finite[k]
     }
-    tails: dict[int, tuple[GradientFilterCore, _Forward]] = {}
+    final_covs = {k: tuple(final_p[:, k].tolist()) for k in range(n_tracks)} if any_mon else {}
+    tail_innos: dict[int, np.ndarray] = {}
     for k in range(n_tracks):
         if finite[k] and lengths[k] > h:
             core = GradientFilterCore(dt[k], vehicle, cfg, stds[k], v[k])
             core.theta = float(theta[k])
             core.p11, core.p12, core.p22 = float(p11[k]), float(p12[k]), float(p22[k])
             fwd = _forward_pass(core, accels[k].values[h:].tolist(), zs[k][h:].tolist())
-            tails[k] = core, fwd
+            theta_outs[k][h:] = np.frombuffer(fwd.theta)
+            var_outs[k][h:] = np.frombuffer(fwd.var)
+            v_outs[k][h:] = np.frombuffer(fwd.v)
+            if sinked[k]:
+                tail_innos[k] = np.frombuffer(fwd.innovations)
+            if s_outs[k] is not None:
+                s_outs[k][n_drained[k]:] = np.frombuffer(fwd.inno_var)
+            final_covs[k] = (core.p11, core.p12, core.p22)
 
-    # -- unpack per track ---------------------------------------------------
+    # -- hand each track to its sinks -------------------------------------
     tracks: list[GradientTrack] = []
     for k in range(n_tracks):
         n_k = lengths[k]
@@ -475,20 +567,13 @@ def _estimate_tracks_vectorized(
                     )
                 )
             continue
-        tail = tails.get(k)
-        if tail is None:
-            theta_k, var_k, v_k = (col[:n_k, k].copy() for col in (theta_out, var_out, v_out))
-        else:
-            core, fwd = tail
-            theta_k = np.concatenate((theta_out[:, k], fwd.theta))
-            var_k = np.concatenate((var_out[:, k], fwd.var))
-            v_k = np.concatenate((v_out[:, k], fwd.v))
-        if tel_k is not None or mon_k is not None:
+        var_k = var_outs[k]
+        if sinked[k]:
             ticks_k = np.flatnonzero(np.isfinite(zs[k]))
-            head = ticks_k[ticks_k < h]
-            inno_k = inno_out[head, k]
-            if tail is not None:
-                inno_k = np.concatenate((inno_k, fwd.innovations))
+            inno_k = zs[k][ticks_k]
+            tail_inno = tail_innos.get(k)
+            if tail_inno is not None:
+                inno_k[len(inno_k) - len(tail_inno):] = tail_inno
         if tel_k is not None:
             vel = velocities[k]
             dropped = int(np.count_nonzero(~(vel.valid & np.isfinite(vel.values))))
@@ -499,31 +584,25 @@ def _estimate_tracks_vectorized(
                 tel_k.observe_many("ekf_innovation_abs", np.abs(inno_k))
             tel_k.gauge("ekf.final_theta_variance", float(var_k[-1]))
         if mon_k is not None:
-            s_k = s_out[head, k]
-            if tail is not None:
-                s_k = np.concatenate((s_k, fwd.inno_var))
-                final_cov = (core.p11, core.p12, core.p22)
-            else:
-                final_cov = tuple(final_p[:, k].tolist())
             mon_k.check_track(
                 name_k or velocities[k].name,
-                theta_k,
+                theta_outs[k],
                 var_k,
                 innovations=inno_k,
-                s=s_k,
+                s=s_outs[k],
                 update_ticks=ticks_k,
                 dt=float(dt[k]),
                 n_ticks=int(n_k),
-                final_cov=final_cov,
+                final_cov=final_covs[k],
             )
         tracks.append(
             GradientTrack(
                 name=name_k or velocities[k].name,
                 t=readonly_view(ts[k]),
                 s=readonly_view(ss[k]),
-                theta=theta_k,
+                theta=theta_outs[k],
                 variance=var_k,
-                v=v_k,
+                v=v_outs[k],
                 meta={
                     "process": cfg.process,
                     "measurement_std": stds[k],

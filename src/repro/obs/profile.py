@@ -90,7 +90,9 @@ class Profiler:
     trace_malloc:
         Also record net allocation deltas per section via ``tracemalloc``.
         Off by default — tracing slows allocation-heavy code noticeably,
-        and nesting accounting is per top-level section only.
+        and nesting accounting is per top-level section only. Tracing is
+        on only while a section runs: if ``tracemalloc`` was off when the
+        outermost section began, it is stopped again when that ends.
     """
 
     def __init__(self, trace_malloc: bool = False) -> None:
@@ -99,6 +101,7 @@ class Profiler:
         self.throughput = _Throughput()
         self._lock = threading.Lock()
         self._malloc_depth = 0
+        self._malloc_started = False  # whether this profiler turned tracing on
 
     @contextmanager
     def section(self, name: str) -> "Iterator[Profiler]":
@@ -110,6 +113,7 @@ class Profiler:
             with self._lock:
                 if self._malloc_depth == 0 and not tracemalloc.is_tracing():
                     tracemalloc.start()
+                    self._malloc_started = True
                 self._malloc_depth += 1
             snap = tracemalloc.get_traced_memory()[0]
         wall0 = time.perf_counter()
@@ -126,6 +130,9 @@ class Profiler:
                 alloc_kb = (tracemalloc.get_traced_memory()[0] - snap) / 1024.0
                 with self._lock:
                     self._malloc_depth -= 1
+                    if self._malloc_depth == 0 and self._malloc_started:
+                        tracemalloc.stop()
+                        self._malloc_started = False
             with self._lock:
                 stats = self.sections.get(name)
                 if stats is None:

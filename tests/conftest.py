@@ -66,6 +66,40 @@ def force_kernel(monkeypatch):
 
 
 @pytest.fixture()
+def small_blocks(monkeypatch):
+    """Run the vectorized tick loop over 7-tick blocks, so tracks of a few
+    dozen ticks cross many block boundaries; returns the block size."""
+    import repro.core.batch as batch_mod
+
+    monkeypatch.setattr(batch_mod, "BLOCK_TICKS", 7)
+    return batch_mod.BLOCK_TICKS
+
+
+@pytest.fixture(autouse=True)
+def _no_leaked_process_state():
+    """Fail a test that leaves ``tracemalloc`` tracing or changes
+    ``STAGE_REGISTRY``; both are process-wide, so a leak slows down or
+    reroutes every later test. The state is restored before failing."""
+    import tracemalloc
+
+    from repro.core.stages import STAGE_REGISTRY
+
+    tracing = tracemalloc.is_tracing()
+    registry = dict(STAGE_REGISTRY)
+    yield
+    leaks = []
+    if tracemalloc.is_tracing() and not tracing:
+        tracemalloc.stop()
+        leaks.append("left tracemalloc tracing")
+    if STAGE_REGISTRY != registry:
+        STAGE_REGISTRY.clear()
+        STAGE_REGISTRY.update(registry)
+        leaks.append("changed STAGE_REGISTRY")
+    if leaks:
+        pytest.fail("test " + " and ".join(leaks), pytrace=False)
+
+
+@pytest.fixture()
 def rng():
     """A fresh seeded generator per test."""
     return np.random.default_rng(1234)

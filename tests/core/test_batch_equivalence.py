@@ -212,6 +212,9 @@ class TestDirectEquivalence:
         for mon_v, mon_s in zip(mons["vec"], mons["scalar"]):
             assert mon_v.report() == mon_s.report()
 
+    def test_innovations_and_counters_match_scalar_in_small_blocks(self, small_blocks):
+        self.test_innovations_and_counters_match_scalar()
+
     def test_smooth_falls_back_bit_identical(self, force_kernel):
         force_kernel("batch")
         accels, velocities, arcs = _mixed_batch(3)
@@ -359,6 +362,11 @@ def test_vectorized_equals_scalar_on_ragged_mixed_rate_batches(batch):
     assert vec_records == scalar_records
 
 
+def test_ragged_mixed_rate_batches_in_small_blocks(small_blocks):
+    # The drawn tracks (20-315 ticks) cross up to 45 block boundaries.
+    test_vectorized_equals_scalar_on_ragged_mixed_rate_batches()
+
+
 @pytest.mark.parametrize("process", PROCESSES)
 def test_vectorized_kernel_is_warning_free(process):
     # A numpy deprecation path (e.g. a positional out= on np.maximum)
@@ -443,6 +451,12 @@ class TestLiveWidthRouting:
             assert mon_r.report() == mon_s.report()
             assert mon_r.calls == mon_s.calls
 
+    @pytest.mark.parametrize("process", PROCESSES)
+    def test_crossing_call_with_sinks_equals_scalar_in_small_blocks(
+        self, process, small_blocks
+    ):
+        self.test_crossing_call_with_sinks_equals_scalar(process)
+
     def test_only_tracks_past_the_threshold_run_a_tail(self, monkeypatch):
         import repro.core.batch as batch_mod
 
@@ -466,6 +480,90 @@ class TestLiveWidthRouting:
         inputs = [_synthetic_track(300, 0.02, seed=k) for k in range(n_tracks)]
         estimate_tracks_batch(*(list(col) for col in zip(*inputs)))
         assert tails == []
+
+
+def _tracks_of_lengths(lengths):
+    """One synthetic track per length, sources and measurement strides
+    cycling so blocks mix updating and held tracks."""
+    inputs = [
+        _synthetic_track(
+            n, 0.02, seed=200 + k, source=_SOURCES[k % len(_SOURCES)],
+            meas_stride=(1, 5, 3)[k % 3],
+        )
+        for k, n in enumerate(lengths)
+    ]
+    return [list(col) for col in zip(*inputs)]
+
+
+def _assert_equals_scalar_with_sinks(accels, velocities, arcs, process):
+    """Run the vectorized kernel with telemetry and a recording monitor on
+    every track: each track, counter, health report and ``check_track``
+    argument (``final_cov`` included) must equal a per-track
+    :func:`estimate_track`, NaN equal to NaN. Returns the kernel's tracks."""
+    cfg = GradientEKFConfig(process=process)
+    p22_0 = cfg.initial_grade_std**2
+    runs, tracks = {}, {}
+    for kernel in ("vec", "scalar"):
+        tels = [Telemetry(f"{kernel}-{k}") for k in range(len(accels))]
+        mons = [_RecordingMonitor(p22_initial=p22_0) for _ in accels]
+        if kernel == "vec":
+            tracks[kernel] = _estimate_tracks_vectorized(
+                accels, velocities, arcs, config=cfg, telemetries=tels, monitors=mons
+            )
+        else:
+            tracks[kernel] = [
+                estimate_track(a, v, s, config=cfg, telemetry=tel, monitor=mon)
+                for a, v, s, tel, mon in zip(accels, velocities, arcs, tels, mons)
+            ]
+        runs[kernel] = _nan_equal(
+            [
+                (t.name, t.theta, t.v, t.variance, tel.metrics.snapshot(), mon.report(), mon.calls)
+                for t, tel, mon in zip(tracks[kernel], tels, mons)
+            ]
+        )
+    assert runs["vec"] == runs["scalar"]
+    return tracks["vec"]
+
+
+class TestBlockBoundaries:
+    """The vector loop over 7-tick blocks, at the ticks where a block ends:
+    the state, the finite flag, the innovations and the final covariance
+    carry across, and the result stays the scalar core's."""
+
+    @pytest.mark.parametrize("process", PROCESSES)
+    @pytest.mark.parametrize("lengths", [(21, 25, 17), (28, 21, 19)])
+    def test_track_ending_on_a_block_boundary(self, small_blocks, lengths, process):
+        # A 21-tick track's last tick closes the third block; in the second
+        # call the whole loop also ends on a boundary (28 ticks).
+        assert 21 % small_blocks == 0
+        _assert_equals_scalar_with_sinks(*_tracks_of_lengths(lengths), process)
+
+    @pytest.mark.parametrize("process", PROCESSES)
+    def test_nonfinite_burst_across_a_block_boundary_reruns(self, small_blocks, process):
+        accels, velocities, arcs = _tracks_of_lengths((40, 40, 33))
+        burst = accels[1].values
+        burst[small_blocks - 2 : small_blocks + 2] = np.nan  # ticks 5-8
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            tracks = _assert_equals_scalar_with_sinks(accels, velocities, arcs, process)
+        assert [t.meta["engine"] for t in tracks] == ["batch", "scalar", "batch"]
+
+    @pytest.mark.parametrize("process", PROCESSES)
+    def test_live_width_cut_mid_block(self, small_blocks, process):
+        # Three tracks more than the threshold: the vector loop stops at
+        # the 4th-shortest length, mid-block, and three tracks finish on
+        # the scalar tail.
+        lengths = [30 + 2 * k for k in range(BATCH_MIN_TRACKS + 3)]
+        h = sorted(lengths)[3]
+        assert h % small_blocks != 0 and h < max(lengths)
+        _assert_equals_scalar_with_sinks(*_tracks_of_lengths(lengths), process)
+
+    @pytest.mark.parametrize("process", PROCESSES)
+    def test_final_covariance_on_a_block_boundary_tick(self, small_blocks, process):
+        # The monitors' final_cov is captured at each track's last tick: the
+        # first tick of a block (15 ticks) and the last one (14 ticks).
+        lengths = (2 * small_blocks + 1, 2 * small_blocks, 5 * small_blocks + 3)
+        _assert_equals_scalar_with_sinks(*_tracks_of_lengths(lengths), process)
 
 
 def _assert_shares_inputs(tracks, accels, arcs):

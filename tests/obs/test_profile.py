@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +43,25 @@ class TestSections:
         with prof.section("alloc"):
             _ = [bytearray(1024) for _ in range(64)]
         assert prof.sections["alloc"].alloc_kb > 0.0
+
+    def test_trace_malloc_stops_when_the_outermost_section_ends(self):
+        prof = Profiler(trace_malloc=True)
+        with prof.section("outer"):
+            with prof.section("inner"):
+                assert tracemalloc.is_tracing()
+            assert tracemalloc.is_tracing()
+        assert not tracemalloc.is_tracing()
+
+    def test_trace_malloc_leaves_tracing_it_did_not_start(self):
+        tracemalloc.start()
+        try:
+            prof = Profiler(trace_malloc=True)
+            with prof.section("alloc"):
+                _ = [bytearray(1024) for _ in range(64)]
+            assert tracemalloc.is_tracing()
+            assert prof.sections["alloc"].alloc_kb > 0.0
+        finally:
+            tracemalloc.stop()
 
     def test_to_dict_schema_and_table(self):
         prof = Profiler()
