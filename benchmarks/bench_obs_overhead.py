@@ -5,8 +5,9 @@ Three guarantees are pinned here:
 1. With telemetry disabled (``NullTelemetry`` / no telemetry argument) the
    streaming hot path ``StreamingGradientEstimator.push`` pays only a
    single ``is None`` check — measured overhead must stay below 5 %.
-2. Health monitors plus the stage profiler must cost under 10 % on a full
-   batch-engine ``estimate()`` — and leave the outputs bit-identical.
+2. Health monitors plus live telemetry (the span tree the profiler reads)
+   must cost under 10 % on a full batch-engine ``estimate()`` — and leave
+   the outputs bit-identical.
 3. With telemetry enabled, one ``GradientEstimationSystem.estimate`` call
    produces the full four-stage span tree with populated counters; this
    doubles as the CI smoke benchmark that populates
@@ -28,7 +29,7 @@ from conftest import print_block
 from repro.constants import GRAVITY
 from repro.core.online import StreamingGradientEstimator
 from repro.core.pipeline import GradientEstimationSystem, GradientSystemConfig
-from repro.obs import NullTelemetry, export_run
+from repro.obs import NullTelemetry, Telemetry, export_run
 from repro.obs.health import HealthConfig
 from repro.obs.profile import Profiler
 from repro.roads import SectionSpec, build_profile
@@ -91,7 +92,7 @@ def _bench_road_recording(seed_trip: int = 5, seed_phone: int = 6):
 
 
 def test_monitor_and_profiler_overhead(bench_telemetry):
-    """Health monitors + stage profiler must cost <10% on a per-trip estimate.
+    """Health monitors + live telemetry must cost <10% on a per-trip estimate.
 
     Also pins passivity: the monitored/profiled run's outputs must be
     bit-identical to the bare run's.
@@ -100,11 +101,10 @@ def test_monitor_and_profiler_overhead(bench_telemetry):
     bare = GradientEstimationSystem(
         profile, config=GradientSystemConfig(health=HealthConfig(enabled=False))
     )
-    profiler = Profiler()
-    with profiler.install():
-        monitored = GradientEstimationSystem(
-            profile, config=GradientSystemConfig()
-        )
+    tel = Telemetry("monitored")
+    monitored = GradientEstimationSystem(
+        profile, config=GradientSystemConfig(), telemetry=tel
+    )
 
     result_bare = bare.estimate(recording)
     result_mon = monitored.estimate(recording)
@@ -129,10 +129,10 @@ def test_monitor_and_profiler_overhead(bench_telemetry):
     ratio = best_mon / best_bare
     bench_telemetry.gauge("bench.monitor_overhead_ratio", ratio)
     assert {"stage.alignment", "stage.ekf_tracks", "stage.fusion"} <= set(
-        profiler.sections
+        Profiler.from_telemetry(tel).sections
     )
     print_block(
-        f"batch estimate: bare {best_bare * 1e3:.1f} ms, monitors+profiler "
+        f"batch estimate: bare {best_bare * 1e3:.1f} ms, monitors+telemetry "
         f"{best_mon * 1e3:.1f} ms, overhead {100.0 * (ratio - 1.0):+.2f}%"
     )
     assert ratio < 1.10

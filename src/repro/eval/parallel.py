@@ -34,13 +34,22 @@ zero surviving trips raises.
 
 Telemetry
 ---------
-Workers cannot share the caller's registry, so each trip runs with its own
-:class:`~repro.obs.Telemetry` and ships back a metrics snapshot; the
-parent folds the snapshots in trip order via
-:meth:`~repro.obs.MetricsRegistry.merge_snapshot`, reproducing exactly the
-counters a serial run would have accumulated. A trip that fails inside the
-pipeline ships its snapshot too (the stages it ran before failing counted
-on it); a trip that fails in simulation has none.
+Workers cannot share the caller's registry or tracer, so with live
+telemetry each trip runs with its own :class:`~repro.obs.Telemetry` and
+ships back a metrics snapshot; the parent folds the snapshots in trip
+order via :meth:`~repro.obs.MetricsRegistry.merge_snapshot`, reproducing
+exactly the counters a serial run would have accumulated. A trip that
+fails inside the pipeline ships its snapshot too (the stages it ran before
+failing counted on it); a trip that fails in simulation has none.
+
+Span trees ship home beside the snapshots: each chunk builds its system
+under a chunk telemetry, whose ``estimate`` span and stage spans travel
+as :meth:`~repro.obs.trace.Span.to_dict` data (spans only — metrics stay
+per trip, so merged counters cannot double), and the parent grafts them
+under its ``trips`` span in chunk order, retried chunks after them. Every
+backend takes the same dict path, so the run's span tree — and the
+:class:`~repro.obs.profile.Profiler` read off it — has the same shape on
+the ``serial``, ``thread`` and ``process`` backends.
 
 Config transport
 ----------------
@@ -55,7 +64,6 @@ rebuild path so the reports stay pinned equal.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -66,6 +74,7 @@ from ..core.track import GradientTrack
 from ..core.track_fusion import fuse_tracks
 from ..errors import ConfigurationError, EstimationError
 from ..obs.telemetry import NULL_TELEMETRY, Telemetry
+from ..obs.trace import Span
 from ..roads.profile import RoadProfile
 from ..roads.reference import survey_reference_profile
 from .metrics import mean_absolute_error, mean_relative_error
@@ -95,9 +104,10 @@ class ParallelConfig(SerializableConfig):
     ``thread`` (default) keeps everything in-process — numpy does the heavy
     lifting, so threads already overlap well and nothing needs pickling.
     ``process`` buys full parallelism for CPU-bound sweeps at the cost of
-    shipping the profile and results across process boundaries. ``serial``
-    runs the identical code path inline; it is the reference the parallel
-    backends are pinned against.
+    shipping results (and, with live telemetry, span trees and metrics
+    snapshots) across process boundaries. ``serial`` runs the identical
+    code path inline; it is the reference the parallel backends are
+    pinned against.
 
     ``retries`` bounds how many times a crashed trip is re-run (inline, in
     the parent, with the identical seed, as a chunk of one) before it is
@@ -209,7 +219,6 @@ def evaluate_trips(
     parallel: ParallelConfig | None = None,
     telemetry: Telemetry | None = None,
     fault_hook: Callable[[int], None] | None = None,
-    profiler=None,
     manifest_path=None,
 ) -> EvalReport:
     """Simulate, estimate and score ``cfg.n_trips`` trips on a worker pool.
@@ -224,57 +233,45 @@ def evaluate_trips(
         Failure injection for tests: called with each trip index before the
         trip runs; raising makes that trip a recorded failure. Must be
         picklable for the ``process`` backend.
-    profiler:
-        Optional :class:`~repro.obs.profile.Profiler`. Wraps every pipeline
-        stage (``stage.<name>`` sections, one call per chunk) plus the
-        ``reference``/``trips``/``fusion`` phases, and records per-trip
-        throughput in EKF ticks/s. Incompatible with the ``process``
-        backend — stage wrappers do not cross process boundaries.
+    telemetry:
+        Live telemetry records the run's span tree — the
+        ``reference``/``trips``/``fusion`` phases, with every chunk's
+        ``estimate`` and stage spans grafted under ``trips`` — and its
+        merged per-trip metrics; :meth:`~repro.obs.profile.Profiler.from_telemetry`
+        reads the per-stage profile off it.
     manifest_path:
         When set, write a self-describing run manifest JSON here
         (:func:`~repro.obs.manifest.write_manifest`): config, seed, git
-        revision, metrics snapshot, health summary, and profile.
+        revision, metrics snapshot, health summary, and — with live
+        telemetry — the profile.
     """
     cfg = cfg or RunnerConfig()
     par = parallel or ParallelConfig()
     tel = telemetry if telemetry is not None else NULL_TELEMETRY
-    if profiler is not None and par.backend == "process":
-        raise ConfigurationError(
-            "profiling is not supported on the 'process' backend; stage "
-            "timing sections cannot cross process boundaries"
-        )
 
-    prof_install = profiler.install() if profiler is not None else nullcontext()
-
-    def _section(name: str):
-        return profiler.section(name) if profiler is not None else nullcontext()
-
-    with prof_install, tel.span(
+    with tel.span(
         "evaluate_trips",
         n_trips=cfg.n_trips,
         backend=par.backend,
         chunk_size=par.chunk_size,
     ):
-        with tel.span("reference"), _section("reference"):
+        with tel.span("reference"):
             reference = survey_reference_profile(profile).smoothed(
                 cfg.reference_smooth_m
             )
             s_grid = _common_grid(profile, cfg)
             truth = np.asarray(reference.gradient_at(s_grid), dtype=float)
 
-        # Workers always collect metrics when profiling so throughput can
-        # count EKF ticks, even if the caller's telemetry is off.
-        collect_metrics = tel.active or profiler is not None
         cfg_spec = cfg.to_dict()  # workers rebuild the config from data
 
         def chunk_args(indices: tuple[int, ...]) -> tuple:
-            return (profile, cfg_spec, indices, s_grid, truth, collect_metrics, fault_hook)
+            return (profile, cfg_spec, indices, s_grid, truth, tel.active, fault_hook)
 
         args = [
             chunk_args(tuple(range(start, min(start + par.chunk_size, cfg.n_trips))))
             for start in range(0, cfg.n_trips, par.chunk_size)
         ]
-        with tel.span("trips", n_chunks=len(args)), _section("trips"):
+        with tel.span("trips", n_chunks=len(args)) as trips_span:
             if par.backend == "serial":
                 chunks = [_guarded_chunk(a) for a in args]
             else:
@@ -285,12 +282,16 @@ def evaluate_trips(
                 )
                 with pool_cls(max_workers=par.max_workers) as pool:
                     chunks = list(pool.map(_guarded_chunk, args))
-        outcomes = [o for chunk in chunks for o in chunk]
+        outcomes = []
+        for chunk_outcomes, spans in chunks:
+            outcomes.extend(chunk_outcomes)
+            _graft(trips_span, spans)
 
-        _retry_crashed(outcomes, chunk_args, par.retries, tel)
+        _retry_crashed(outcomes, chunk_args, par.retries, tel, trips_span)
         survivors = _merge_survivors(outcomes, tel, cfg.n_trips)
+        trips_span.set(n_ok=len(survivors))
 
-        with tel.span("fusion", n_tracks=len(survivors)), _section("fusion"):
+        with tel.span("fusion", n_tracks=len(survivors)):
             fused_theta = _fuse_survivors(survivors, s_grid, tel)
 
     tel.count("eval.parallel_reports")
@@ -305,19 +306,9 @@ def evaluate_trips(
         mre=mean_relative_error(fused_theta, truth),
     )
 
-    if profiler is not None:
-        total_ticks = sum(
-            int(o.metrics.get("counters", {}).get("ekf_ticks", 0))
-            for o in survivors
-        )
-        profiler.set_throughput(
-            n_trips=len(survivors),
-            ticks=total_ticks,
-            wall_s=profiler.wall("trips"),
-        )
-
     if manifest_path is not None:
         from ..obs.manifest import write_manifest
+        from ..obs.profile import Profiler
 
         write_manifest(
             manifest_path,
@@ -325,7 +316,7 @@ def evaluate_trips(
             seed=cfg.seed,
             metrics=tel.metrics.snapshot() if tel.active else {},
             health=report.health_summary(),
-            profile=profiler.to_dict() if profiler is not None else None,
+            profile=Profiler.from_telemetry(tel).to_dict() if tel.active else None,
             extra={
                 "kind": "evaluate_trips",
                 "road_profile": profile.name,
@@ -342,11 +333,18 @@ def evaluate_trips(
     return report
 
 
+def _graft(parent: Span, trees: list[dict]) -> None:
+    """Append span trees shipped home as dicts under ``parent``."""
+    if trees:
+        parent.children.extend(Span.from_dict(tree) for tree in trees)
+
+
 def _retry_crashed(
     outcomes: list[TripOutcome],
     chunk_args: Callable[[tuple[int, ...]], tuple],
     retries: int,
     tel: Telemetry,
+    trips_span: Span,
 ) -> None:
     """Retry crashed trips before recording them as failures.
 
@@ -354,7 +352,8 @@ def _retry_crashed(
     state — so every backend and chunk size takes the identical path and
     reports stay pinned equal. ``chunk_args`` builds the
     :func:`_run_chunk` arguments for a tuple of trip indices;
-    ``outcomes`` is updated in place.
+    ``outcomes`` is updated in place, and each attempt's span trees are
+    grafted under ``trips_span``.
     """
     if retries <= 0:
         return
@@ -368,7 +367,8 @@ def _retry_crashed(
                 index=outcome.index,
                 error=outcome.error,
             )
-            outcome = _guarded_chunk(chunk_args((outcome.index,)))[0]
+            (outcome,), spans = _guarded_chunk(chunk_args((outcome.index,)))
+            _graft(trips_span, spans)
             if outcome.ok:
                 break
         outcomes[pos] = outcome
@@ -386,10 +386,7 @@ def _merge_survivors(
     """
     survivors: list[TripOutcome] = []
     for outcome in outcomes:
-        # Merge only into a *live* registry: with profiling on but
-        # telemetry off, tel is the shared NULL_TELEMETRY and must never
-        # accumulate state.
-        if tel.active and outcome.metrics:
+        if outcome.metrics:
             tel.metrics.merge_snapshot(outcome.metrics)
         if outcome.ok:
             survivors.append(outcome)
@@ -427,9 +424,9 @@ def _run_chunk(
     indices: tuple[int, ...],
     s_grid: np.ndarray,
     truth: np.ndarray,
-    collect_metrics: bool,
+    collect_telemetry: bool,
     fault_hook: Callable[[int], None] | None,
-) -> list[TripOutcome]:
+) -> tuple[list[TripOutcome], list[dict]]:
     """Worker body: simulate a chunk of trips, then estimate them in one
     batched pipeline pass. Must stay top-level picklable.
 
@@ -441,9 +438,14 @@ def _run_chunk(
     :meth:`~repro.core.pipeline.GradientEstimationSystem.estimate_batch`
     call with one telemetry per trip, so each trip's outcome — scores,
     metrics snapshot, health summary — does not depend on its chunk.
+
+    Returns the outcomes in ``indices`` order and, when
+    ``collect_telemetry`` is set, the chunk telemetry's span trees as
+    dicts (empty otherwise).
     """
     cfg = RunnerConfig.from_dict(cfg_spec)
     outcomes: dict[int, TripOutcome] = {}
+    chunk_tel = Telemetry("eval-chunk") if collect_telemetry else None
     live: list[tuple[int, object]] = []
     for index in indices:
         try:
@@ -459,10 +461,10 @@ def _run_chunk(
 
     if live:
         tels = [
-            Telemetry(f"eval-trip-{index}") if collect_metrics else None
+            Telemetry(f"eval-trip-{index}") if collect_telemetry else None
             for index, _ in live
         ]
-        system = make_system(profile, cfg)
+        system = make_system(profile, cfg, telemetry=chunk_tel)
         estimates = system.estimate_batch(
             [rec for _, rec in live], telemetries=tels
         )
@@ -495,20 +497,21 @@ def _run_chunk(
                 if result.health is not None
                 else {},
             )
-    return [outcomes[index] for index in indices]
+    spans = chunk_tel.tracer.to_list() if chunk_tel is not None else []
+    return [outcomes[index] for index in indices], spans
 
 
-def _guarded_chunk(packed) -> list[TripOutcome]:
+def _guarded_chunk(packed) -> tuple[list[TripOutcome], list[dict]]:
     """Run one chunk, converting a chunk-level crash into per-trip failures.
 
     Per-trip exceptions are already isolated inside :func:`_run_chunk`;
     this guard only fires on whole-chunk failures (a config spec that does
     not rebuild, say), and the parent's inline retry then re-runs each
-    affected trip as a chunk of one.
+    affected trip as a chunk of one. A crashed chunk ships no spans.
     """
     indices = packed[2]
     try:
         return _run_chunk(*packed)
     except Exception as exc:  # noqa: BLE001 - deliberate degrade-not-crash
         error = f"{type(exc).__name__}: {exc}"
-        return [TripOutcome(index=i, ok=False, error=error) for i in indices]
+        return [TripOutcome(index=i, ok=False, error=error) for i in indices], []

@@ -11,10 +11,9 @@ The subsystem is deliberately dependency-free (stdlib + numpy +
 * :mod:`~repro.obs.health` — estimator health monitors: NIS consistency
   bounds, covariance watchdogs, raw-input screens, and per-trip
   ``ok``/``suspect``/``diverged`` verdicts;
-* :mod:`~repro.obs.profile` — deterministic per-stage wall/CPU profiler
-  with per-trip throughput;
-* :mod:`~repro.obs.export` — dump a run's spans + metrics to
-  dict/JSON/JSONL/Prometheus text;
+* :mod:`~repro.obs.profile` — per-stage wall/CPU profile and per-trip
+  throughput, read off the span tree;
+* :mod:`~repro.obs.export` — a run's spans + metrics as one JSON-able dict;
 * :mod:`~repro.obs.manifest` — run provenance manifests.
 
 :class:`Telemetry` bundles the tracing/metrics/logging primitives and is
@@ -29,11 +28,6 @@ __all__, __getattr__, __dir__ = _lazy_exports(
     globals(),
     {
         "export_run": ".export",
-        "format_span_tree": ".export",
-        "prometheus_text": ".export",
-        "write_json": ".export",
-        "write_jsonl": ".export",
-        "write_prometheus": ".export",
         "HealthConfig": ".health",
         "HealthFlag": ".health",
         "HealthMonitor": ".health",

@@ -1,38 +1,17 @@
-"""Export a run's telemetry — span tree plus metrics — as JSON artifacts.
+"""Export a run's telemetry — span tree plus metrics — as one JSON-able dict.
 
-:func:`export_run` returns a plain dict (always ``json.dumps``-able);
-:func:`write_json` dumps that dict to a file; :func:`write_jsonl` emits a
-flat JSON-lines stream (one record per span and per metric) for line-based
-ingestion — span records carry their ``attributes`` and metric records
-their parsed ``labels``, so per-trip / per-source context survives the
-flattening. :func:`prometheus_text` renders the metrics snapshot in the
-Prometheus text exposition format (histograms as summary-style quantile
-series), and :func:`format_span_tree` renders a span tree for terminals —
-both from live telemetry or from a previously exported dict.
+:func:`export_run` returns a plain dict (always ``json.dumps``-able): the
+span trees as :meth:`~repro.obs.trace.Span.to_dict` data (rebuild one with
+:meth:`~repro.obs.trace.Span.from_dict`) and the metrics snapshot.
 :class:`NullTelemetry` is re-exported here so callers that only need
 "telemetry off" can import everything from one module.
 """
 
 from __future__ import annotations
 
-import json
-import re
-from pathlib import Path
-
-from .metrics import parse_metric_key
 from .telemetry import NULL_TELEMETRY, NullTelemetry, Telemetry
-from .trace import Span
 
-__all__ = [
-    "export_run",
-    "format_span_tree",
-    "prometheus_text",
-    "write_json",
-    "write_jsonl",
-    "write_prometheus",
-    "NullTelemetry",
-    "NULL_TELEMETRY",
-]
+__all__ = ["export_run", "NullTelemetry", "NULL_TELEMETRY"]
 
 
 def export_run(telemetry: Telemetry) -> dict:
@@ -43,181 +22,3 @@ def export_run(telemetry: Telemetry) -> dict:
         "spans": telemetry.tracer.to_list(),
         "metrics": telemetry.metrics.snapshot(),
     }
-
-
-def write_json(telemetry: Telemetry, path: str | Path, indent: int = 2) -> Path:
-    """Dump :func:`export_run` to ``path``; returns the path."""
-    path = Path(path)
-    path.write_text(json.dumps(export_run(telemetry), indent=indent, sort_keys=True))
-    return path
-
-
-def _span_records(span: Span, prefix: str) -> list[dict]:
-    path = f"{prefix}/{span.name}" if prefix else span.name
-    record: dict = {"type": "span", "path": path, "duration_s": span.duration}
-    if span.attributes:
-        record["attributes"] = dict(span.attributes)
-    records = [record]
-    for child in span.children:
-        records.extend(_span_records(child, path))
-    return records
-
-
-def write_jsonl(telemetry: Telemetry, path: str | Path) -> Path:
-    """Flat JSON-lines dump: one record per span and per metric.
-
-    Span records keep their ``attributes``; metric records split the
-    registry key into the bare ``name`` plus a ``labels`` dict (only
-    present when the metric was labelled).
-    """
-    path = Path(path)
-    with path.open("w") as fh:
-        for root in telemetry.tracer.roots:
-            for record in _span_records(root, ""):
-                fh.write(json.dumps(record, default=str) + "\n")
-        metrics = telemetry.metrics.snapshot()
-        for kind_key, kind in (
-            ("counters", "counter"),
-            ("gauges", "gauge"),
-            ("histograms", "histogram"),
-        ):
-            for key, value in metrics[kind_key].items():
-                name, labels = parse_metric_key(key)
-                record = {"type": kind, "name": name, "value": value}
-                if labels:
-                    record["labels"] = labels
-                fh.write(json.dumps(record) + "\n")
-    return path
-
-
-# -- Prometheus text exposition ------------------------------------------------
-
-_PROM_NAME_BAD = re.compile(r"[^a-zA-Z0-9_:]")
-
-
-def _prom_name(name: str) -> str:
-    """A metric name sanitized to the Prometheus charset."""
-    name = _PROM_NAME_BAD.sub("_", name)
-    if name and name[0].isdigit():
-        name = "_" + name
-    return name
-
-
-def _prom_labels(labels: dict) -> str:
-    if not labels:
-        return ""
-    inner = ",".join(
-        f'{_prom_name(str(k))}="{str(v)}"' for k, v in sorted(labels.items())
-    )
-    return "{" + inner + "}"
-
-
-def _prom_value(value: float | int) -> str:
-    v = float(value)
-    if v != v:
-        return "NaN"
-    return repr(v)
-
-
-def prometheus_text(source: Telemetry | dict) -> str:
-    """The metrics snapshot in Prometheus text exposition format.
-
-    ``source`` is live telemetry or an :func:`export_run` dict. Counters
-    and gauges become single samples; histograms become summary-style
-    output — ``{quantile="..."}`` series for p50/p95/p99 plus ``_sum`` and
-    ``_count`` samples.
-    """
-    snapshot = (
-        source["metrics"] if isinstance(source, dict) else source.metrics.snapshot()
-    )
-    lines: list[str] = []
-
-    for key, value in sorted(snapshot.get("counters", {}).items()):
-        name, labels = parse_metric_key(key)
-        pname = _prom_name(name)
-        lines.append(f"# TYPE {pname} counter")
-        lines.append(f"{pname}{_prom_labels(labels)} {_prom_value(value)}")
-
-    for key, value in sorted(snapshot.get("gauges", {}).items()):
-        if value is None:
-            continue
-        name, labels = parse_metric_key(key)
-        pname = _prom_name(name)
-        lines.append(f"# TYPE {pname} gauge")
-        lines.append(f"{pname}{_prom_labels(labels)} {_prom_value(value)}")
-
-    for key, summary in sorted(snapshot.get("histograms", {}).items()):
-        name, labels = parse_metric_key(key)
-        pname = _prom_name(name)
-        lines.append(f"# TYPE {pname} summary")
-        count = int(summary.get("count", 0))
-        if count:
-            for q, field in (("0.5", "p50"), ("0.95", "p95"), ("0.99", "p99")):
-                if field in summary:
-                    q_labels = dict(labels)
-                    q_labels["quantile"] = q
-                    lines.append(
-                        f"{pname}{_prom_labels(q_labels)} "
-                        f"{_prom_value(summary[field])}"
-                    )
-        lines.append(
-            f"{pname}_sum{_prom_labels(labels)} "
-            f"{_prom_value(summary.get('sum', 0.0))}"
-        )
-        lines.append(f"{pname}_count{_prom_labels(labels)} {count}")
-
-    return "\n".join(lines) + "\n" if lines else ""
-
-
-def write_prometheus(source: Telemetry | dict, path: str | Path) -> Path:
-    """Write :func:`prometheus_text` to ``path``; returns the path."""
-    path = Path(path)
-    path.write_text(prometheus_text(source))
-    return path
-
-
-# -- terminal span-tree rendering ----------------------------------------------
-
-
-def _span_dict(span: Span | dict) -> dict:
-    """Normalize a live ``Span`` or an exported span dict."""
-    if isinstance(span, dict):
-        return span
-    return {
-        "name": span.name,
-        "duration_s": span.duration,
-        "attributes": dict(span.attributes),
-        "children": list(span.children),
-    }
-
-
-def _format_span(span: Span | dict, indent: int, lines: list[str]) -> None:
-    d = _span_dict(span)
-    dur = d.get("duration_s") or 0.0
-    attrs = d.get("attributes") or {}
-    attr_text = (
-        " [" + ", ".join(f"{k}={attrs[k]}" for k in sorted(attrs)) + "]"
-        if attrs
-        else ""
-    )
-    lines.append(f"{'  ' * indent}{d.get('name', '?')}  {dur * 1e3:8.2f} ms{attr_text}")
-    for child in d.get("children", ()):
-        _format_span(child, indent + 1, lines)
-
-
-def format_span_tree(source: Telemetry | dict | list) -> str:
-    """Render a span tree as an indented terminal listing.
-
-    ``source`` is live telemetry, an :func:`export_run` dict, or a bare
-    list of exported span dicts (e.g. from ``bench_telemetry.json``).
-    """
-    if isinstance(source, Telemetry):
-        roots = list(source.tracer.roots)
-    elif isinstance(source, dict):
-        roots = list(source.get("spans", ()))
-    else:
-        roots = list(source)
-    lines: list[str] = []
-    for root in roots:
-        _format_span(root, 0, lines)
-    return "\n".join(lines)

@@ -8,10 +8,16 @@ context managers::
         with tracer.span("alignment"):
             ...
 
-Timing uses ``time.perf_counter`` and the implementation is pure stdlib —
-no third-party dependency and no I/O. Nesting is tracked with an explicit
-stack, so the tracer is process-local and not thread-safe (one tracer per
-pipeline instance, matching how telemetry is threaded through the code).
+Wall time uses ``time.perf_counter`` and CPU time ``time.thread_time``
+(the CPU the entering thread spent while the span was open); the
+implementation is pure stdlib — no third-party dependency and no I/O.
+Nesting is tracked with an explicit stack, so the tracer is process-local
+and not thread-safe (one tracer per pipeline instance, matching how
+telemetry is threaded through the code).
+
+A finished subtree travels as data: :meth:`Span.to_dict` keeps its
+durations, and :meth:`Span.from_dict` rebuilds it in another process, where
+the original ``perf_counter`` readings would mean nothing.
 """
 
 from __future__ import annotations
@@ -28,14 +34,18 @@ __all__ = ["Span", "Tracer"]
 class Span:
     """One timed stage of a run.
 
-    ``t_start``/``t_end`` are ``perf_counter`` readings; ``attributes``
-    carries small key/value annotations (velocity source, trip index, ...).
+    ``t_start``/``t_end`` are ``perf_counter`` readings and
+    ``cpu_start``/``cpu_end`` ``thread_time`` readings (a rebuilt span
+    starts both clocks at 0.0); ``attributes`` carries small key/value
+    annotations (velocity source, trip index, ...).
     """
 
     name: str
     attributes: dict = field(default_factory=dict)
     t_start: float = 0.0
     t_end: float | None = None
+    cpu_start: float = 0.0
+    cpu_end: float | None = None
     children: list["Span"] = field(default_factory=list)
     _tracer: "Tracer | None" = field(default=None, repr=False, compare=False)
 
@@ -44,6 +54,12 @@ class Span:
         """Wall-clock seconds; reads the clock while the span is open."""
         end = time.perf_counter() if self.t_end is None else self.t_end
         return end - self.t_start
+
+    @property
+    def cpu_s(self) -> float:
+        """Thread CPU seconds; reads the clock while the span is open."""
+        end = time.thread_time() if self.cpu_end is None else self.cpu_end
+        return end - self.cpu_start
 
     def set(self, **attributes: object) -> "Span":
         """Attach attributes to the span; returns the span for chaining."""
@@ -65,15 +81,31 @@ class Span:
 
     def to_dict(self) -> dict:
         """JSON-serialisable representation of the subtree."""
-        out: dict = {"name": self.name, "duration_s": self.duration}
+        out: dict = {
+            "name": self.name,
+            "duration_s": self.duration,
+            "cpu_s": self.cpu_s,
+        }
         if self.attributes:
             out["attributes"] = dict(self.attributes)
         if self.children:
             out["children"] = [child.to_dict() for child in self.children]
         return out
 
+    @classmethod
+    def from_dict(cls, data: dict) -> "Span":
+        """Rebuild a closed subtree from :meth:`to_dict` output."""
+        return cls(
+            name=data["name"],
+            attributes=dict(data.get("attributes", {})),
+            t_end=data["duration_s"],
+            cpu_end=data.get("cpu_s", 0.0),
+            children=[cls.from_dict(child) for child in data.get("children", ())],
+        )
+
     def __enter__(self) -> "Span":
         self.t_start = time.perf_counter()
+        self.cpu_start = time.thread_time()
         if self._tracer is not None:
             self._tracer._open(self)
         return self
@@ -85,6 +117,7 @@ class Span:
         tb: TracebackType | None,
     ) -> bool:
         self.t_end = time.perf_counter()
+        self.cpu_end = time.thread_time()
         if exc_type is not None:
             self.attributes.setdefault("error", exc_type.__name__)
         if self._tracer is not None:

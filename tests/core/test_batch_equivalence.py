@@ -457,6 +457,32 @@ class TestLiveWidthRouting:
     ):
         self.test_crossing_call_with_sinks_equals_scalar(process)
 
+    @pytest.mark.parametrize("process", PROCESSES)
+    def test_nonfinite_burst_in_a_scalar_tail(self, process):
+        # A NaN accel burst past the live-width cut: the vector loop never
+        # sees it, so the longest track stays "finite" there and finishes
+        # on the scalar tail, whose innovations and S go NaN from the burst
+        # on. The innovations, S and counters the sinks get must still be
+        # the scalar core's.
+        accels, velocities, arcs = _ragged_wide_batch(BATCH_MIN_TRACKS + 8)
+        lengths = [len(a.t) for a in accels]
+        h = sorted(lengths)[8]
+        k = int(np.argmax(lengths))
+        start = (h + lengths[k]) // 2
+        accels[k].values[start : start + 3] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            tracks = _assert_equals_scalar_with_sinks(accels, velocities, arcs, process)
+        assert tracks[k].meta["engine"] == "batch"  # a tail, not a rerun
+        assert np.isfinite(tracks[k].theta[:start]).all()
+        assert np.isnan(tracks[k].theta[start:]).all()
+
+    @pytest.mark.parametrize("process", PROCESSES)
+    def test_nonfinite_burst_in_a_scalar_tail_in_small_blocks(
+        self, process, small_blocks
+    ):
+        self.test_nonfinite_burst_in_a_scalar_tail(process)
+
     def test_only_tracks_past_the_threshold_run_a_tail(self, monkeypatch):
         import repro.core.batch as batch_mod
 

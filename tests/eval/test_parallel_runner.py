@@ -361,7 +361,8 @@ class TestConfigTransport:
         reference = survey_reference_profile(profile).smoothed(CFG.reference_smooth_m)
         s_grid = _common_grid(profile, CFG)
         truth = np.asarray(reference.gradient_at(s_grid), dtype=float)
-        [outcome] = _run_chunk(profile, spec, (0,), s_grid, truth, False, None)
+        [outcome], spans = _run_chunk(profile, spec, (0,), s_grid, truth, False, None)
+        assert spans == []  # telemetry off: no span trees ship
         assert outcome.ok
         baseline = serial_report.trips[0]
         assert outcome.mae_deg == baseline.mae_deg
@@ -374,7 +375,8 @@ class TestConfigTransport:
         grid = np.arange(0.0, 100.0, 5.0)
         truth = np.zeros_like(grid)
         bad_spec = {**CFG.to_dict(), "warp_factor": 9}
-        outcomes = _guarded_chunk((profile, bad_spec, (0, 1), grid, truth, False, None))
+        outcomes, spans = _guarded_chunk((profile, bad_spec, (0, 1), grid, truth, False, None))
+        assert spans == []
         assert [o.index for o in outcomes] == [0, 1]
         for outcome in outcomes:
             assert not outcome.ok

@@ -1,21 +1,16 @@
-"""Exporter tests: JSONL context pins, Prometheus text, span-tree rendering.
+"""Exporter tests: what a run's :func:`export_run` dict keeps.
 
-Pins the flattening contract: span records keep their ``attributes`` and
-metric records their parsed ``labels`` — per-trip / per-source context
-must survive ``write_jsonl``.
+Pins the context contract: span trees keep their ``attributes`` (and
+rebuild with :meth:`Span.from_dict`, the way worker spans travel home
+from an ``evaluate_trips`` pool) and metric keys their ``labels`` —
+per-trip / per-source context must survive the JSON export.
 """
 
 import json
-import math
 
-from repro.obs import (
-    Telemetry,
-    export_run,
-    format_span_tree,
-    prometheus_text,
-    write_jsonl,
-    write_prometheus,
-)
+from repro.obs import Telemetry, export_run, parse_metric_key
+from repro.obs.profile import Profiler
+from repro.obs.trace import Span
 
 
 def _loaded_telemetry():
@@ -31,100 +26,59 @@ def _loaded_telemetry():
     return tel
 
 
+def _exported(tel):
+    return json.loads(json.dumps(export_run(tel)))
+
+
 class TestJsonl:
-    def test_span_attributes_survive_flattening(self, tmp_path):
-        tel = _loaded_telemetry()
-        path = write_jsonl(tel, tmp_path / "run.jsonl")
-        records = [json.loads(l) for l in path.read_text().splitlines()]
-        by_path = {r["path"]: r for r in records if r["type"] == "span"}
-        assert by_path["estimate"]["attributes"] == {"trip": 3}
-        assert by_path["estimate/ekf_tracks/track"]["attributes"] == {
-            "source": "gps"
-        }
-        assert "attributes" not in by_path["estimate/ekf_tracks"]
+    def test_span_attributes_survive_flattening(self):
+        (root,) = _exported(_loaded_telemetry())["spans"]
+        rebuilt = Span.from_dict(root)
+        assert rebuilt.attributes == {"trip": 3}
+        assert rebuilt.find("track").attributes == {"source": "gps"}
+        assert rebuilt.find("ekf_tracks").attributes == {}
+        assert "attributes" not in root["children"][0]
 
-    def test_metric_records_split_name_and_labels(self, tmp_path):
-        tel = _loaded_telemetry()
-        path = write_jsonl(tel, tmp_path / "run.jsonl")
-        records = [json.loads(l) for l in path.read_text().splitlines()]
-        counters = {
-            (r["name"], json.dumps(r.get("labels"), sort_keys=True)): r
-            for r in records
-            if r["type"] == "counter"
-        }
-        plain = counters[("ekf_ticks", "null")]
-        assert plain["value"] == 100
-        assert "labels" not in plain
-        labelled = counters[
-            ("health.flag", '{"kind": "nis", "severity": "suspect"}')
-        ]
-        assert labelled["value"] == 1
+    def test_metric_records_split_name_and_labels(self):
+        counters = _exported(_loaded_telemetry())["metrics"]["counters"]
+        by_name = {}
+        for key, value in counters.items():
+            name, labels = parse_metric_key(key)
+            by_name[name] = (labels, value)
+        assert by_name["ekf_ticks"] == ({}, 100)
+        assert by_name["health.flag"] == ({"kind": "nis", "severity": "suspect"}, 1)
 
-    def test_histogram_records_include_percentiles(self, tmp_path):
-        tel = _loaded_telemetry()
-        path = write_jsonl(tel, tmp_path / "run.jsonl")
-        records = [json.loads(l) for l in path.read_text().splitlines()]
-        (hist,) = [r for r in records if r["type"] == "histogram"]
-        assert hist["name"] == "inno"
-        assert {"count", "p50", "p95", "p99"} <= set(hist["value"])
-
-
-class TestPrometheus:
-    def test_counters_gauges_and_labels(self):
-        text = prometheus_text(_loaded_telemetry())
-        assert "# TYPE ekf_ticks counter" in text
-        assert "ekf_ticks 100.0" in text
-        assert 'health_flag{kind="nis",severity="suspect"} 1.0' in text
-        assert "bench_ratio 1.5" in text
-
-    def test_histograms_render_as_summaries(self):
-        text = prometheus_text(_loaded_telemetry())
-        assert "# TYPE inno summary" in text
-        assert 'inno{quantile="0.5"}' in text
-        assert 'inno{quantile="0.99"}' in text
-        assert "inno_count 3" in text
-        assert f"inno_sum {0.1 + 0.2 + 0.4!r}" in text
-
-    def test_accepts_exported_dict(self):
-        tel = _loaded_telemetry()
-        from_live = prometheus_text(tel)
-        from_dict = prometheus_text(json.loads(json.dumps(export_run(tel))))
-        assert from_live == from_dict
-
-    def test_names_sanitized(self):
-        tel = Telemetry("sanitize")
-        tel.count("pipeline.estimates-total", 1)
-        text = prometheus_text(tel)
-        assert "pipeline_estimates_total 1.0" in text
-
-    def test_write_prometheus_round_trip(self, tmp_path):
-        tel = _loaded_telemetry()
-        path = write_prometheus(tel, tmp_path / "metrics.prom")
-        assert path.read_text() == prometheus_text(tel)
-
-    def test_empty_registry_renders_empty(self):
-        assert prometheus_text(Telemetry("empty")) == ""
-
-    def test_nan_gauge_renders_as_nan(self):
-        tel = Telemetry("nan")
-        tel.gauge("g", math.nan)
-        assert "g NaN" in prometheus_text(tel)
+    def test_histogram_records_include_percentiles(self):
+        histograms = _exported(_loaded_telemetry())["metrics"]["histograms"]
+        assert list(histograms) == ["inno"]
+        assert {"count", "p50", "p95", "p99"} <= set(histograms["inno"])
+        assert histograms["inno"]["count"] == 3
 
 
 class TestSpanTree:
     def test_renders_nested_tree_with_attributes(self):
         tel = _loaded_telemetry()
-        text = format_span_tree(tel)
-        lines = text.splitlines()
-        assert lines[0].startswith("estimate")
-        assert "[trip=3]" in lines[0]
-        assert lines[1].startswith("  ekf_tracks")
-        assert lines[2].startswith("    track")
-        assert "[source=gps]" in lines[2]
-        assert "ms" in lines[0]
+        (live,) = tel.tracer.roots
+        rebuilt = Span.from_dict(_exported(tel)["spans"][0])
+        pairs = list(zip(live.walk(), rebuilt.walk()))
+        assert len(pairs) == 3 == len(list(rebuilt.walk()))
+        for a, b in pairs:
+            assert (b.name, b.attributes) == (a.name, a.attributes)
+            assert b.duration == a.duration
+            assert b.cpu_s == a.cpu_s
+            assert b.t_end is not None and b.cpu_end is not None  # closed
 
     def test_accepts_exported_dict_and_span_list(self):
-        tel = _loaded_telemetry()
-        dump = json.loads(json.dumps(export_run(tel)))
-        assert format_span_tree(dump) == format_span_tree(dump["spans"])
-        assert "estimate" in format_span_tree(dump)
+        tel = Telemetry("profiled")
+        for _ in range(2):
+            with tel.span("estimate", n_trips=1):
+                with tel.span("alignment"):
+                    pass
+                with tel.span("fusion"):
+                    pass
+        spans = _exported(tel)["spans"]
+        rebuilt = [Span.from_dict(d) for d in spans]
+        assert [span.to_dict() for span in rebuilt] == spans
+        live = Profiler.from_spans(tel.tracer.roots).to_dict()
+        assert Profiler.from_spans(rebuilt).to_dict() == live
+        assert live["sections"]["stage.alignment"]["calls"] == 2

@@ -27,8 +27,6 @@ from repro.obs import (
     get_logger,
     log_format,
     telemetry_enabled,
-    write_json,
-    write_jsonl,
 )
 from repro.core.lane_change.features import LaneChangeThresholds
 from repro.sensors.base import SampledSignal
@@ -63,24 +61,18 @@ class TestPipelineTelemetry:
         assert counters["lane_changes_detected"].value == result.n_lane_changes
         assert tel.metrics.histogram("ekf_innovation_abs").count > 0
 
-    def test_export_round_trips_through_json(self, hill_profile, hill_recording, tmp_path):
+    def test_export_round_trips_through_json(self, hill_profile, hill_recording):
         tel = Telemetry("export-test")
         _system(hill_profile, tel).estimate(hill_recording)
 
         dump = export_run(tel)
         decoded = json.loads(json.dumps(dump))
+        assert decoded["name"] == "export-test"
         assert decoded["spans"][0]["name"] == "estimate"
+        assert [c["name"] for c in decoded["spans"][0]["children"]] == PIPELINE_STAGES
+        assert all(c["cpu_s"] >= 0.0 for c in decoded["spans"][0]["children"])
         assert decoded["metrics"]["counters"]["fusion_tracks_in"] == 4
-
-        json_path = write_json(tel, tmp_path / "run.json")
-        assert json.loads(json_path.read_text())["name"] == "export-test"
-
-        jsonl_path = write_jsonl(tel, tmp_path / "run.jsonl")
-        records = [json.loads(line) for line in jsonl_path.read_text().splitlines()]
-        span_paths = {r["path"] for r in records if r["type"] == "span"}
-        assert {"estimate"} | {f"estimate/{s}" for s in PIPELINE_STAGES} <= span_paths
-        counter_names = {r["name"] for r in records if r["type"] == "counter"}
-        assert "ekf_ticks" in counter_names
+        assert decoded["metrics"]["counters"]["ekf_ticks"] > 0
 
     def test_null_telemetry_output_bit_identical(self, hill_profile, hill_recording):
         plain = _system(hill_profile).estimate(hill_recording)
